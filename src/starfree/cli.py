@@ -206,7 +206,7 @@ def cmd_run_transformer(args) -> int:
     if model.output is None:
         _emit(args, {"input": args.input, "accept": None}, "no output layer")
         return 0
-    accepted = tf.accepts_transformer(model, args.input)
+    accepted = tf.trace_accepts(model, trace)
     _emit(args, {"input": args.input, "accept": accepted}, f"accept: {accepted}")
     return 0 if accepted else 1
 

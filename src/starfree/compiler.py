@@ -47,24 +47,23 @@ from .brasp import (
     Transduce,
     qname,
 )
+from .exact import HALF, ONE, ZERO
+from .normalform import SCORE_ATOM_CAP
 from .predicates import family_tuple_pe, pe_bit_coding
 from .transformer import (
     AttentionHead,
     FeedForward,
     OutputLayer,
+    SparseMatrix,
     Transformer,
     TransformerLayer,
     TransformerError,
     identity_layer,
-    zero_matrix,
+    parallel_compose,
+    widen,
 )
 
-SCORE_ATOM_CAP = 16
 FFN_SUPPORT_CAP = 20
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 
 class CompileError(Exception):
@@ -168,22 +167,11 @@ def ffn_from_writes(width: int, writes: dict) -> FeedForward:
                 row[k] = ONE if assign[k] else -ONE
                 ones += int(assign[k])
             units.append((row, Fraction(1 - ones), c))
-    w1 = []
-    b1 = []
-    for row, bias, _c in units:
-        full_row = [ZERO] * width
-        for k, v in row.items():
-            full_row[k] = v
-        w1.append(tuple(full_row))
-        b1.append(bias)
-    w2 = []
-    for c in range(width):
-        row = [ZERO] * len(units)
-        for u, (_, _, uc) in enumerate(units):
-            if uc == c:
-                row[u] = ONE
-        w2.append(tuple(row))
-    return FeedForward(tuple(w1), tuple(b1), tuple(w2), tuple(ZERO for _ in range(width)))
+    w1 = SparseMatrix(
+        len(units), width, [(u, k, v) for u, (row, _b, _c) in enumerate(units) for k, v in row.items()]
+    )
+    w2 = SparseMatrix(width, len(units), [(c, u, ONE) for u, (_r, _b, c) in enumerate(units)])
+    return FeedForward(w1, [b for _r, b, _c in units], w2, (ZERO,) * width)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +223,65 @@ def _folded_value(body: Attention) -> Expr:
     )
 
 
+def _gadget_width(dec: ScoreDecomposition) -> int:
+    return 2 * len(dec.conjuncts) + 4
+
+
+def _attention_gadget(body: Attention, dec: ScoreDecomposition, base: int, width: int, to_coords) -> tuple:
+    """The head simulating one attention op, shared by both compilers.
+
+    Uses `_gadget_width(dec)` scratch coordinates from `base`: for each of
+    the m score conjuncts a query bit alpha and a key bit beta, then an
+    attended flag, a default flag, the folded value bit and the attended
+    copy of that bit. Returns (writes, head, answer, labels): `writes` are
+    the scratch bits a feed-forward net below the head must set; the head
+    scores alpha(i) . beta(j) and copies the attended position's default
+    flag and value bit; `answer` is the op's value over the coordinates
+    after the head; `labels` names the flag and value-bit coordinates.
+    """
+    m = len(dec.conjuncts)
+    alpha = range(base, base + m)
+    beta = range(base + m, base + 2 * m)
+    flag_att, flag_def, gval, gatt = range(base + 2 * m, base + 2 * m + 4)
+    writes = {}
+    for k, (al, be) in enumerate(dec.conjuncts):
+        writes[alpha[k]] = to_coords(al, force_pos="i")
+        writes[beta[k]] = to_coords(be, force_pos="i")
+    writes[flag_def] = bx.TRUE
+    writes[gval] = to_coords(_folded_value(body), force_pos="i")
+    score = SparseMatrix(width, width, [(a, b, ONE) for a, b in zip(alpha, beta)])
+    value = SparseMatrix(
+        width, width, [(flag_att, flag_def, ONE), (flag_def, flag_def, -ONE), (gatt, gval, ONE)]
+    )
+    head = AttentionHead(score, body.mask, body.direction, value)
+    answer = bx.disj(
+        [
+            bx.conj([catom(flag_att), catom(gatt)]),
+            bx.conj([bx.neg(catom(flag_att)), to_coords(body.default)]),
+        ]
+    )
+    labels = {
+        flag_att: "attended flag",
+        flag_def: "default flag",
+        gval: "value bit",
+        gatt: "attended value bit",
+    }
+    return writes, head, answer, labels
+
+
+def _one_hot_embedding(alphabet: Alphabet, width: int) -> dict:
+    """Symbol k sets coordinate k; every other coordinate starts at zero."""
+    return {
+        s: tuple(ONE if c == k else ZERO for c in range(width))
+        for k, s in enumerate(alphabet.symbols)
+    }
+
+
+def _accept_output(width: int, coord: int) -> OutputLayer:
+    """+1/2 when the coordinate holds 1, -1/2 when it holds 0."""
+    return OutputLayer(tuple(ONE if c == coord else ZERO for c in range(width)), -HALF)
+
+
 # ---------------------------------------------------------------------------
 # Naive compilation
 
@@ -259,108 +306,44 @@ def compile_naive(prog: BraspProgram, preds=None) -> Transformer:
         coord_of[op.name] = base
         base += 1
 
-    # Scratch allocation per attention op.
-    scratch = {}
+    # Scratch allocation per attention op whose score can hold.
+    scratch = {}  # op name -> (first scratch coordinate, score decomposition)
     width = base
-    decomps = {}
     for op in src.ops:
         if isinstance(op.body, Positionwise):
             continue
         dec = decompose_score(op.body.score)
-        decomps[op.name] = dec
-        m = len(dec.conjuncts)
-        if m == 0:
-            continue
-        scratch[op.name] = {
-            "alpha": list(range(width, width + m)),
-            "beta": list(range(width + m, width + 2 * m)),
-            "flag_att": width + 2 * m,
-            "flag_def": width + 2 * m + 1,
-            "gval": width + 2 * m + 2,
-            "gatt": width + 2 * m + 3,
-        }
-        width += 2 * m + 4
+        if dec.conjuncts:
+            scratch[op.name] = (width, dec)
+            width += _gadget_width(dec)
 
     def to_coords(expr, force_pos=None):
         return _coord_expr(expr, coord_of, pred_coord, force_pos)
+
+    def ffn_layer(writes):
+        return TransformerLayer(identity_layer(width).heads, ffn_from_writes(width, writes))
 
     layers = []
     coord_doc = {str(v): k for k, v in coord_of.items()}
     for op in src.ops:
         body = op.body
         out = coord_of[op.name]
-        if isinstance(body, Positionwise):
-            layers.append(
-                TransformerLayer(
-                    identity_layer(width).heads,
-                    ffn_from_writes(width, {out: to_coords(body.expr)}),
-                )
-            )
+        if op.name not in scratch:
+            # Position-wise, or a score that never holds, so the default wins.
+            expr = body.expr if isinstance(body, Positionwise) else body.default
+            layers.append(ffn_layer({out: to_coords(expr)}))
             continue
-        dec = decomps[op.name]
-        if not dec.conjuncts:
-            # Unsatisfiable score: attention never fires, so the default wins.
-            layers.append(
-                TransformerLayer(
-                    identity_layer(width).heads,
-                    ffn_from_writes(width, {out: to_coords(body.default)}),
-                )
-            )
-            continue
-        sc = scratch[op.name]
-        coord_doc.update(
-            {
-                str(sc["flag_att"]): f"{op.name}: attended flag",
-                str(sc["flag_def"]): f"{op.name}: default flag",
-                str(sc["gval"]): f"{op.name}: value bit",
-                str(sc["gatt"]): f"{op.name}: attended value bit",
-            }
-        )
-        writes = {}
-        for k, (alpha, beta) in enumerate(dec.conjuncts):
-            writes[sc["alpha"][k]] = to_coords(alpha, force_pos="i")
-            writes[sc["beta"][k]] = to_coords(beta, force_pos="i")
-        writes[sc["flag_def"]] = bx.TRUE
-        writes[sc["gval"]] = to_coords(_folded_value(body), force_pos="i")
-        layers.append(
-            TransformerLayer(
-                identity_layer(width).heads, ffn_from_writes(width, writes)
-            )
-        )
-
-        score = [[ZERO] * width for _ in range(width)]
-        for k in range(len(dec.conjuncts)):
-            score[sc["alpha"][k]][sc["beta"][k]] = ONE
-        value = [[ZERO] * width for _ in range(width)]
-        value[sc["flag_att"]][sc["flag_def"]] = ONE
-        value[sc["flag_def"]][sc["flag_def"]] = -ONE
-        value[sc["gatt"]][sc["gval"]] = ONE
-        head = AttentionHead(
-            score,
-            body.mask,
-            body.direction,
-            value,
-        )
-        answer = bx.disj(
-            [
-                bx.conj([catom(sc["flag_att"]), catom(sc["gatt"])]),
-                bx.conj([bx.neg(catom(sc["flag_att"])), to_coords(body.default)]),
-            ]
-        )
+        base, dec = scratch[op.name]
+        writes, head, answer, labels = _attention_gadget(body, dec, base, width, to_coords)
+        coord_doc.update({str(c): f"{op.name}: {label}" for c, label in labels.items()})
+        layers.append(ffn_layer(writes))
         layers.append(TransformerLayer([head], ffn_from_writes(width, {out: answer})))
 
-    embedding = {}
-    for k, s in enumerate(src.alphabet.symbols):
-        vec = [ZERO] * width
-        vec[k] = ONE
-        embedding[s] = tuple(vec)
     output = None
     if isinstance(src.output, Accept):
-        weights = [ZERO] * width
-        weights[coord_of[src.output.vector]] = ONE
-        output = OutputLayer(tuple(weights), -HALF)
+        output = _accept_output(width, coord_of[src.output.vector])
     pes = ((pe, nsym),) if pe is not None else ()
-    model = Transformer(width, src.alphabet, embedding, layers, output, pes)
+    model = Transformer(width, src.alphabet, _one_hot_embedding(src.alphabet, width), layers, output, pes)
     model.coord_of = dict(coord_of)
     model.coord_doc = coord_doc
     model.source_program = src
@@ -388,43 +371,6 @@ def _subst_post(expr: Expr, top_writes: dict) -> Expr:
         if c in top_writes:
             mapping[a] = top_writes[c] if a.pos == "i" else bx.retag(top_writes[c], "i", "j")
     return bx.substitute(expr, mapping)
-
-
-def _widen_model(model: Transformer, extra: int) -> Transformer:
-    """Append `extra` zero coordinates to every structural piece."""
-    d = model.width
-    total = d + extra
-
-    def widen_vec(vec):
-        return tuple(vec) + tuple(ZERO for _ in range(extra))
-
-    def widen_mat(mat, rows, cols):
-        out = [list(row) + [ZERO] * (cols - len(row)) for row in mat]
-        while len(out) < rows:
-            out.append([ZERO] * cols)
-        return tuple(tuple(r) for r in out)
-
-    layers = []
-    for layer in model.layers:
-        heads = [
-            AttentionHead(
-                widen_mat(h.score_matrix, total, total),
-                h.mask,
-                h.tiebreak,
-                widen_mat(h.value_matrix, total, total),
-                widen_vec(h.value_bias) if h.value_bias is not None else None,
-            )
-            for h in layer.heads
-        ]
-        ffn = FeedForward(
-            widen_mat(layer.ffn.w1, layer.ffn.hidden, total),
-            layer.ffn.b1,
-            widen_mat(layer.ffn.w2, total, layer.ffn.hidden),
-            widen_vec(layer.ffn.b2),
-        )
-        layers.append(TransformerLayer(heads, ffn))
-    embedding = {sym: widen_vec(vec) for sym, vec in model.embedding.items()}
-    return Transformer(total, model.alphabet, embedding, layers, None, model.position_embeddings)
 
 
 def _fuse_writes(sim_model: Transformer, top_writes: dict, new_writes: dict) -> tuple:
@@ -482,14 +428,8 @@ def compile_depth_preserving(prog: BraspProgram) -> Transformer:
     alphabet = src.alphabet
     nsym = len(alphabet.symbols)
 
-    base_embedding = {}
-    for k, s in enumerate(alphabet.symbols):
-        vec = [ZERO] * nsym
-        vec[k] = ONE
-        base_embedding[s] = tuple(vec)
-
     def base_sim() -> tuple:
-        model = Transformer(nsym, alphabet, dict(base_embedding), [], None, ())
+        model = Transformer(nsym, alphabet, _one_hot_embedding(alphabet, nsym), [], None, ())
         qcoords = {qname(s): k for k, s in enumerate(alphabet.symbols)}
         return model, qcoords
 
@@ -510,8 +450,6 @@ def compile_depth_preserving(prog: BraspProgram) -> Transformer:
         anything in the composed top layer, so only parts at the full depth
         contribute their top-layer writes.
         """
-        from .transformer import parallel_compose
-
         depth = max(p[0].depth for p in parts)
         model = None
         offset = 0
@@ -559,70 +497,29 @@ def compile_depth_preserving(prog: BraspProgram) -> Transformer:
         def to_coords(expr, force_pos=None):
             return _coord_expr(expr, coordmap, {}, force_pos)
 
-        if isinstance(body, Positionwise):
+        dec = None if isinstance(body, Positionwise) else decompose_score(body.score)
+        if dec is None or not dec.conjuncts:
+            # Position-wise, or a score that never holds, so the default wins.
+            expr = body.expr if dec is None else body.default
             out = model.width
-            model = _widen_model(model, 1)
-            top_writes = {c: e for c, e in top_writes.items()}
-            model, top_writes = _fuse_writes(model, top_writes, {out: to_coords(body.expr)})
-            sim = _Sim(model, out, top_writes)
-            sims[name] = sim
-            return sim
-
-        dec = decompose_score(body.score)
-        if not dec.conjuncts:
-            out = model.width
-            model = _widen_model(model, 1)
-            model, top_writes = _fuse_writes(model, top_writes, {out: to_coords(body.default)})
-            sim = _Sim(model, out, top_writes)
-            sims[name] = sim
-            return sim
-
-        m = len(dec.conjuncts)
-        w0 = model.width
-        alpha = list(range(w0, w0 + m))
-        beta = list(range(w0 + m, w0 + 2 * m))
-        flag_att, flag_def, gval, gatt, out = (
-            w0 + 2 * m,
-            w0 + 2 * m + 1,
-            w0 + 2 * m + 2,
-            w0 + 2 * m + 3,
-            w0 + 2 * m + 4,
-        )
-        model = _widen_model(model, 2 * m + 5)
-        scratch_writes = {}
-        for k, (al, be) in enumerate(dec.conjuncts):
-            scratch_writes[alpha[k]] = to_coords(al, force_pos="i")
-            scratch_writes[beta[k]] = to_coords(be, force_pos="i")
-        scratch_writes[flag_def] = bx.TRUE
-        scratch_writes[gval] = to_coords(_folded_value(body), force_pos="i")
-        model, _ = _fuse_writes(model, top_writes, scratch_writes)
-
-        width = model.width
-        score = [[ZERO] * width for _ in range(width)]
-        for k in range(m):
-            score[alpha[k]][beta[k]] = ONE
-        value = [[ZERO] * width for _ in range(width)]
-        value[flag_att][flag_def] = ONE
-        value[flag_def][flag_def] = -ONE
-        value[gatt][gval] = ONE
-        head = AttentionHead(score, body.mask, body.direction, value)
-        answer = bx.disj(
-            [
-                bx.conj([catom(flag_att), catom(gatt)]),
-                bx.conj([bx.neg(catom(flag_att)), to_coords(body.default)]),
-            ]
-        )
-        new_writes = {out: answer}
-        new_layer = TransformerLayer([head], ffn_from_writes(width, new_writes))
-        model = Transformer(
-            width,
-            model.alphabet,
-            model.embedding,
-            list(model.layers) + [new_layer],
-            None,
-            model.position_embeddings,
-        )
-        sim = _Sim(model, out, new_writes)
+            model, top_writes = _fuse_writes(widen(model, 1), top_writes, {out: to_coords(expr)})
+        else:
+            base = model.width
+            out = base + _gadget_width(dec)
+            model = widen(model, _gadget_width(dec) + 1)
+            writes, head, answer, _labels = _attention_gadget(body, dec, base, model.width, to_coords)
+            model, _ = _fuse_writes(model, top_writes, writes)
+            top_writes = {out: answer}
+            top = TransformerLayer([head], ffn_from_writes(model.width, top_writes))
+            model = Transformer(
+                model.width,
+                model.alphabet,
+                model.embedding,
+                model.layers + [top],
+                None,
+                model.position_embeddings,
+            )
+        sim = _Sim(model, out, top_writes)
         sims[name] = sim
         return sim
 
@@ -635,14 +532,12 @@ def compile_depth_preserving(prog: BraspProgram) -> Transformer:
         sim = _Sim(sim_model, qmap[out_name], {})
     else:
         sim = build(out_name)
-    weights = [ZERO] * sim.model.width
-    weights[sim.coord] = ONE
     model = Transformer(
         sim.model.width,
         sim.model.alphabet,
         sim.model.embedding,
         sim.model.layers,
-        OutputLayer(tuple(weights), -HALF),
+        _accept_output(sim.model.width, sim.coord),
         sim.model.position_embeddings,
     )
     model.coord_of = {out_name: sim.coord}
@@ -940,9 +835,10 @@ def _head_tables(dec: _Decompiler, ell: int, head_idx: int):
     model = dec.model
     head = model.layers[ell - 1].heads[head_idx]
     prev = dec.levels[ell - 1].activations
-    isupp = sorted({r for r, _c, _v in head._score_nnz})
-    jsupp = sorted({c for _r, c, _v in head._score_nnz})
-    vsupp = sorted({c for _r, c, _v in head._value_nnz})
+    score = head.score_sparse.entries
+    isupp = sorted({r for r, _c, _v in score})
+    jsupp = sorted({c for _r, c, _v in score})
+    vsupp = sorted({c for _r, c, _v in head.value_sparse.entries})
     iprojs = _dedup([tuple(u[k] for k in isupp) for u in prev])
     jprojs = _dedup([tuple(u[k] for k in jsupp) for u in prev])
     vprojs = _dedup([tuple(u[k] for k in vsupp) for u in prev])
@@ -953,7 +849,7 @@ def _head_tables(dec: _Decompiler, ell: int, head_idx: int):
         acc = ZERO
         pidx = {k: v for k, v in zip(isupp, p)}
         qidx = {k: v for k, v in zip(jsupp, q)}
-        for r, c, w in head._score_nnz:
+        for r, c, w in score:
             pr = pidx[r]
             qc = qidx[c]
             if pr != 0 and qc != 0:
@@ -1094,11 +990,13 @@ def _decompile_layer(dec: _Decompiler, ell: int):
 
     # Position-wise combination: residual + head sums + feed-forward net.
     ffn = layer.ffn
+    w1_rows = ffn.w1_sparse.by_row()
+    w2_rows = ffn.w2_sparse.by_row()
     for c in range(model.width):
-        units = [u for u in range(ffn.hidden) if ffn.w2[c][u] != 0]
+        units = w2_rows[c]  # (hidden unit, weight) pairs feeding coordinate c
         fsupp = {c}
-        for u in units:
-            fsupp.update(k for k, w in enumerate(ffn.w1[u]) if w != 0)
+        for u, _w in units:
+            fsupp.update(k for k, _v in w1_rows[u])
         fsupp = sorted(fsupp)
         head_varies = [
             h
@@ -1137,14 +1035,13 @@ def _decompile_layer(dec: _Decompiler, ell: int):
                         if ov != 0:
                             ct[k] = ct[k] + ov
                 acc = ffn.b2[c] + ct[c]
-                for u in units:
+                for u, w_out in units:
                     s = ffn.b1[u]
-                    for k, w in enumerate(ffn.w1[u]):
-                        if w != 0:
-                            s = s + w * ct[k]
+                    for k, w in w1_rows[u]:
+                        s = s + w * ct[k]
                     r = exact.relu(s)
                     if r != 0:
-                        acc = acc + ffn.w2[c][u] * r
+                        acc = acc + w_out * r
                 outcomes.append((xp, combo, acc))
 
         for b in range(dec.bits):

@@ -11,6 +11,10 @@ rightmost, and emits a linear function of the chosen position's activation
 (the zero vector when everything is masked); head outputs are summed into
 the residual stream, followed by a two-layer ReLU feed-forward network with
 its own residual. Optional layer normalization runs after either sublayer.
+
+Weight matrices are sparse (`SparseMatrix`): in compiled models about one
+weight in a hundred is nonzero, or fewer, so every combinator and the
+runtime work on the nonzero entries only. Vectors are dense tuples.
 """
 
 from __future__ import annotations
@@ -37,45 +41,102 @@ def _intify(v):
     return v
 
 
-def _intify_vec(vec):
-    return tuple(_intify(v) for v in vec)
+def _vec(values, size: int, piece: str) -> tuple:
+    """An exact vector of `size` entries, integral values as ints."""
+    vec = tuple(_intify(v) for v in values)
+    if len(vec) != size:
+        raise TransformerError(f"{piece} has {len(vec)} entries; expected {size}")
+    return vec
 
 
-def _intify_mat(mat):
-    return tuple(_intify_vec(row) for row in mat)
+class SparseMatrix:
+    """A rows x cols matrix as its nonzero (row, col, value) triples.
+
+    Triples are sorted by (row, col) and integral values are stored as
+    ints. Every index is checked against the shape when the matrix is built.
+    """
+
+    def __init__(self, rows: int, cols: int, entries=()):
+        if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
+            raise TransformerError(f"bad matrix shape {rows!r}x{cols!r}")
+        cells = {}
+        for r, c, v in entries:
+            if type(r) is not int or type(c) is not int or not (0 <= r < rows and 0 <= c < cols):
+                raise TransformerError(f"entry ({r!r}, {c!r}) lies outside a {rows}x{cols} matrix")
+            if (r, c) in cells:
+                raise TransformerError(f"duplicate entry ({r}, {c})")
+            cells[(r, c)] = _intify(v)
+        self.shape = (rows, cols)
+        self.entries = tuple((r, c, v) for (r, c), v in sorted(cells.items()) if v != 0)
+
+    @classmethod
+    def from_dense(cls, rows, cols: int) -> "SparseMatrix":
+        """Build from a sequence of rows, each of `cols` scalars."""
+        entries = []
+        for r, row in enumerate(rows):
+            if len(row) != cols:
+                raise TransformerError(f"matrix row {r} has {len(row)} entries; expected {cols}")
+            entries += [(r, c, v) for c, v in enumerate(row) if v != 0]
+        return cls(len(rows), cols, entries)
+
+    def dense(self) -> tuple:
+        """Rows of scalars, zeros filled in."""
+        rows, cols = self.shape
+        out = [[0] * cols for _ in range(rows)]
+        for r, c, v in self.entries:
+            out[r][c] = v
+        return tuple(tuple(row) for row in out)
+
+    def by_row(self) -> list:
+        """Per row, its (col, value) pairs."""
+        out = [[] for _ in range(self.shape[0])]
+        for r, c, v in self.entries:
+            out[r].append((c, v))
+        return out
 
 
-def _nonzeros(matrix) -> list:
-    out = []
-    for r, row in enumerate(matrix):
-        for c, v in enumerate(row):
-            if v != 0:
-                out.append((r, c, v))
-    return out
+def _place_blocks(rows: int, cols: int, blocks) -> SparseMatrix:
+    """A rows x cols matrix holding each (matrix, row offset, col offset) block."""
+    return SparseMatrix(
+        rows, cols, [(r + dr, c + dc, v) for m, dr, dc in blocks for r, c, v in m.entries]
+    )
 
 
 class AttentionHead:
-    """One hard-attention head: bilinear score, mask, tie-break, linear value."""
+    """One hard-attention head: bilinear score, mask, tie-break, linear value.
 
-    def __init__(self, score_matrix, mask: MaskKind, tiebreak: str, value_matrix, value_bias=None):
+    `score` and `value` are width x width `SparseMatrix`es; `value_bias` is
+    an optional dense vector.
+    """
+
+    def __init__(self, score: SparseMatrix, mask: MaskKind, tiebreak: str, value: SparseMatrix, value_bias=None):
         if tiebreak not in (LEFTMOST, RIGHTMOST):
             raise TransformerError(f"bad tie-break {tiebreak!r}")
-        self.score_matrix = _intify_mat(score_matrix)
+        d = score.shape[0]
+        for piece, m in (("score", score), ("value", value)):
+            if m.shape != (d, d):
+                raise TransformerError(f"head {piece} matrix is {m.shape[0]}x{m.shape[1]}; expected {d}x{d}")
+        self.width = d
+        self.score_sparse = score
         self.mask = mask
         self.tiebreak = tiebreak
-        self.value_matrix = _intify_mat(value_matrix)
-        self.value_bias = _intify_vec(value_bias) if value_bias is not None else None
-        self._score_nnz = _nonzeros(self.score_matrix)
-        self._value_nnz = _nonzeros(self.value_matrix)
+        self.value_sparse = value
+        self.value_bias = _vec(value_bias, d, "head value bias") if value_bias is not None else None
 
     @property
-    def width(self) -> int:
-        return len(self.score_matrix)
+    def score_matrix(self) -> tuple:
+        """Dense view of the score matrix, built anew on every read."""
+        return self.score_sparse.dense()
+
+    @property
+    def value_matrix(self) -> tuple:
+        """Dense view of the value matrix, built anew on every read."""
+        return self.value_sparse.dense()
 
     def query(self, x) -> dict:
         """Sparse row vector x^T W, keyed by column."""
         out: dict = {}
-        for r, c, v in self._score_nnz:
+        for r, c, v in self.score_sparse.entries:
             xr = x[r]
             if xr != 0:
                 out[c] = out.get(c, 0) + xr * v
@@ -90,8 +151,8 @@ class AttentionHead:
         return acc
 
     def value(self, y) -> list:
-        out = [0] * len(self.value_matrix)
-        for r, c, v in self._value_nnz:
+        out = [0] * self.width
+        for r, c, v in self.value_sparse.entries:
             yc = y[c]
             if yc != 0:
                 out[r] = out[r] + v * yc
@@ -101,33 +162,42 @@ class AttentionHead:
 
 
 class FeedForward:
-    """Two-layer ReLU network; `apply` returns the residual delta."""
+    """Two-layer ReLU network; `apply` returns the residual delta.
 
-    def __init__(self, w1, b1, w2, b2):
-        self.w1 = _intify_mat(w1)
-        self.b1 = _intify_vec(b1)
-        self.w2 = _intify_mat(w2)
-        self.b2 = _intify_vec(b2)
-        self._w1_rows = [
-            [(c, v) for c, v in enumerate(row) if v != 0] for row in self.w1
-        ]
-        self._w2_nnz = _nonzeros(self.w2)
+    `w1` is a hidden x width `SparseMatrix` and `w2` a width x hidden one;
+    the biases are dense vectors.
+    """
+
+    def __init__(self, w1: SparseMatrix, b1, w2: SparseMatrix, b2):
+        self.hidden, self.width = w1.shape
+        if w2.shape != (self.width, self.hidden):
+            raise TransformerError(
+                f"feed-forward w2 is {w2.shape[0]}x{w2.shape[1]}; expected {self.width}x{self.hidden}"
+            )
+        self.w1_sparse = w1
+        self.b1 = _vec(b1, self.hidden, "feed-forward b1")
+        self.w2_sparse = w2
+        self.b2 = _vec(b2, self.width, "feed-forward b2")
 
     @property
-    def hidden(self) -> int:
-        return len(self.w1)
+    def w1(self) -> tuple:
+        """Dense view of w1, built anew on every read."""
+        return self.w1_sparse.dense()
+
+    @property
+    def w2(self) -> tuple:
+        """Dense view of w2, built anew on every read."""
+        return self.w2_sparse.dense()
 
     def apply(self, x) -> list:
-        hidden = []
-        for row, b in zip(self._w1_rows, self.b1):
-            acc = b
-            for c, v in row:
-                xc = x[c]
-                if xc != 0:
-                    acc = acc + v * xc
-            hidden.append(exact.relu(acc))
+        hidden = list(self.b1)
+        for r, c, v in self.w1_sparse.entries:
+            xc = x[c]
+            if xc != 0:
+                hidden[r] = hidden[r] + v * xc
+        hidden = [exact.relu(h) for h in hidden]
         out = list(self.b2)
-        for r, c, v in self._w2_nnz:
+        for r, c, v in self.w2_sparse.entries:
             hc = hidden[c]
             if hc != 0:
                 out[r] = out[r] + v * hc
@@ -135,7 +205,7 @@ class FeedForward:
 
     @staticmethod
     def zero(width: int) -> "FeedForward":
-        return FeedForward((), (), tuple(() for _ in range(width)), tuple(Fraction(0) for _ in range(width)))
+        return FeedForward(SparseMatrix(0, width), (), SparseMatrix(width, 0), (0,) * width)
 
 
 class LayerNorm:
@@ -226,19 +296,25 @@ class Transformer:
     def __init__(self, width, alphabet, embedding, layers, output=None, position_embeddings=()):
         self.width = width
         self.alphabet = alphabet if isinstance(alphabet, Alphabet) else Alphabet(tuple(alphabet))
-        self.embedding = {sym: _intify_vec(vec) for sym, vec in embedding.items()}
+        self.embedding = {sym: _vec(vec, width, f"embedding of {sym!r}") for sym, vec in embedding.items()}
         self.layers = list(layers)
         self.output = output
         self.position_embeddings = tuple(position_embeddings)
         for sym in self.alphabet.symbols:
             if sym not in self.embedding:
                 raise TransformerError(f"no embedding for symbol {sym!r}")
-            if len(self.embedding[sym]) != width:
-                raise TransformerError(f"embedding width mismatch for {sym!r}")
-        for layer in self.layers:
-            for head in layer.heads:
-                if head.width != width:
-                    raise TransformerError("head width mismatch")
+        for k, layer in enumerate(self.layers, start=1):
+            sizes = [(f"head {h}", head.width) for h, head in enumerate(layer.heads)]
+            sizes.append(("feed-forward net", layer.ffn.width))
+            for key in ("ln_att", "ln_ffn"):
+                ln = getattr(layer, key)
+                if ln is not None:
+                    sizes += [(f"{key} gamma", len(ln.gamma)), (f"{key} beta", len(ln.beta))]
+            for piece, size in sizes:
+                if size != width:
+                    raise TransformerError(f"layer {k} {piece} has width {size}; expected {width}")
+        if output is not None and len(output.weights) != width:
+            raise TransformerError(f"output weights have {len(output.weights)} entries; expected {width}")
         for pe, offset in self.position_embeddings:
             if offset < 0 or offset + pe.dim > width:
                 raise TransformerError("position embedding slice out of range")
@@ -300,14 +376,16 @@ def run_transformer(model: Transformer, input_text) -> ActivationTrace:
             values = [head.value(states[j - 1]) for j in range(1, n + 1)]
             choices = []
             for i in range(1, n + 1):
-                unmasked = [j for j in range(1, n + 1) if _mask_ok(head.mask, i, j)]
-                if not unmasked:
+                row = head.mask.row(i, n)
+                if not row:
                     choices.append(None)
                     continue
                 q = head.query(states[i - 1])
                 best = None
                 best_score = None
-                for j in unmasked:
+                for j in range(1, n + 1):
+                    if not row >> (j - 1) & 1:
+                        continue
                     s = head.score_from_query(q, states[j - 1])
                     if best is None:
                         best, best_score = [j], s
@@ -320,10 +398,10 @@ def run_transformer(model: Transformer, input_text) -> ActivationTrace:
                 j_i = best[0] if head.tiebreak == LEFTMOST else best[-1]
                 choices.append(j_i)
                 dv = values[j_i - 1]
-                row = deltas[i - 1]
+                delta = deltas[i - 1]
                 for k, v in enumerate(dv):
                     if v != 0:
-                        row[k] = row[k] + v
+                        delta[k] = delta[k] + v
             head_choices.append(choices)
         att_state = [
             [a + b for a, b in zip(states[k], deltas[k])] for k in range(n)
@@ -342,69 +420,62 @@ def run_transformer(model: Transformer, input_text) -> ActivationTrace:
     return ActivationTrace(tokens, emb0, trace_layers)
 
 
-def _mask_ok(mask: MaskKind, i: int, j: int) -> bool:
-    if mask is MaskKind.NONE:
-        return True
-    if mask is MaskKind.FUTURE:
-        return j < i
-    if mask is MaskKind.PAST:
-        return j > i
-    if mask is MaskKind.FUTURE_EQ:
-        return j <= i
-    return j >= i
+def trace_accepts(model: Transformer, trace: ActivationTrace) -> bool:
+    """The output rule: the output projection at the last position is nonnegative."""
+    if model.output is None:
+        raise TransformerError("transformer has no output layer")
+    acc = model.output.bias
+    for w, v in zip(model.output.weights, trace.final[-1]):
+        if w != 0:
+            acc = acc + w * v
+    return exact.sign(acc) >= 0
 
 
 def accepts_transformer(model: Transformer, input_text) -> bool:
     """True iff the output projection at the last position is nonnegative."""
-    if model.output is None:
-        raise TransformerError("transformer has no output layer")
-    trace = run_transformer(model, input_text)
-    final = trace.final[-1]
-    acc = model.output.bias
-    for w, v in zip(model.output.weights, final):
-        if w != 0:
-            acc = acc + w * v
-    return exact.sign(acc) >= 0
+    return trace_accepts(model, run_transformer(model, input_text))
 
 
 # ---------------------------------------------------------------------------
 # Structural combinators
 
 
-def zero_matrix(rows: int, cols: int) -> tuple:
-    return tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows))
-
-
 def identity_layer(width: int) -> TransformerLayer:
     """A layer whose attention adds nothing and whose FFN is zero."""
-    head = AttentionHead(zero_matrix(width, width), MaskKind.NONE, LEFTMOST, zero_matrix(width, width))
+    empty = SparseMatrix(width, width)
+    head = AttentionHead(empty, MaskKind.NONE, LEFTMOST, empty)
     return TransformerLayer([head], FeedForward.zero(width))
 
 
-def _block_matrix(m1, m2, d1, d2):
-    top = [tuple(row) + tuple(Fraction(0) for _ in range(d2)) for row in m1]
-    bottom = [tuple(Fraction(0) for _ in range(d1)) + tuple(row) for row in m2]
-    return tuple(top + bottom)
-
-
 def _shift_head(head: AttentionHead, offset: int, total: int) -> AttentionHead:
-    d = head.width
-
-    def shift(matrix):
-        out = [[Fraction(0)] * total for _ in range(total)]
-        for r in range(d):
-            for c in range(d):
-                v = matrix[r][c]
-                if v != 0:
-                    out[offset + r][offset + c] = v
-        return tuple(tuple(row) for row in out)
-
     bias = None
     if head.value_bias is not None:
-        bias = [Fraction(0)] * total
-        for k, v in enumerate(head.value_bias):
-            bias[offset + k] = v
-    return AttentionHead(shift(head.score_matrix), head.mask, head.tiebreak, shift(head.value_matrix), bias)
+        bias = (0,) * offset + head.value_bias + (0,) * (total - offset - head.width)
+    return AttentionHead(
+        _place_blocks(total, total, [(head.score_sparse, offset, offset)]),
+        head.mask,
+        head.tiebreak,
+        _place_blocks(total, total, [(head.value_sparse, offset, offset)]),
+        bias,
+    )
+
+
+def _stack_layer(heads1, ffn1: FeedForward, heads2, ffn2: FeedForward) -> TransformerLayer:
+    """Side-by-side layer: the second part's coordinates follow the first's."""
+    d1, d2 = ffn1.width, ffn2.width
+    h1, h2 = ffn1.hidden, ffn2.hidden
+    heads = [_shift_head(h, 0, d1 + d2) for h in heads1]
+    heads += [_shift_head(h, d1, d1 + d2) for h in heads2]
+    w1 = _place_blocks(h1 + h2, d1 + d2, [(ffn1.w1_sparse, 0, 0), (ffn2.w1_sparse, h1, d1)])
+    w2 = _place_blocks(d1 + d2, h1 + h2, [(ffn1.w2_sparse, 0, 0), (ffn2.w2_sparse, d1, h1)])
+    return TransformerLayer(heads, FeedForward(w1, ffn1.b1 + ffn2.b1, w2, ffn1.b2 + ffn2.b2))
+
+
+def _reject_layer_norm(models, what: str):
+    for t in models:
+        for layer in t.layers:
+            if layer.ln_att is not None or layer.ln_ffn is not None:
+                raise TransformerError(f"{what} does not support layer norm")
 
 
 def parallel_compose(t1: Transformer, t2: Transformer) -> Transformer:
@@ -417,32 +488,34 @@ def parallel_compose(t1: Transformer, t2: Transformer) -> Transformer:
     """
     if t1.alphabet.symbols != t2.alphabet.symbols:
         raise TransformerError("alphabet mismatch")
-    for t in (t1, t2):
-        for layer in t.layers:
-            if layer.ln_att is not None or layer.ln_ffn is not None:
-                raise TransformerError("parallel composition does not support layer norm")
+    _reject_layer_norm((t1, t2), "parallel composition")
     d1, d2 = t1.width, t2.width
     depth = max(t1.depth, t2.depth)
     layers1 = list(t1.layers) + [identity_layer(d1) for _ in range(depth - t1.depth)]
     layers2 = list(t2.layers) + [identity_layer(d2) for _ in range(depth - t2.depth)]
-    new_layers = []
-    for l1, l2 in zip(layers1, layers2):
-        heads = [_shift_head(h, 0, d1 + d2) for h in l1.heads]
-        heads += [_shift_head(h, d1, d1 + d2) for h in l2.heads]
-        h1, h2 = l1.ffn.hidden, l2.ffn.hidden
-        w1 = _block_matrix(l1.ffn.w1, l2.ffn.w1, d1, d2)
-        b1 = tuple(l1.ffn.b1) + tuple(l2.ffn.b1)
-        w2 = _block_matrix(l1.ffn.w2, l2.ffn.w2, h1, h2)
-        b2 = tuple(l1.ffn.b2) + tuple(l2.ffn.b2)
-        new_layers.append(TransformerLayer(heads, FeedForward(w1, b1, w2, b2)))
+    new_layers = [_stack_layer(l1.heads, l1.ffn, l2.heads, l2.ffn) for l1, l2 in zip(layers1, layers2)]
     embedding = {
-        sym: tuple(t1.embedding[sym]) + tuple(t2.embedding[sym])
+        sym: t1.embedding[sym] + t2.embedding[sym]
         for sym in t1.alphabet.symbols
     }
     pes = list(t1.position_embeddings) + [
         (pe, off + d1) for pe, off in t2.position_embeddings
     ]
     return Transformer(d1 + d2, t1.alphabet, embedding, new_layers, None, tuple(pes))
+
+
+def widen(model: Transformer, extra: int) -> Transformer:
+    """Append `extra` coordinates that no layer reads or writes.
+
+    Layer count and heads are unchanged; the output layer is dropped and
+    layer norm is not supported, as in `parallel_compose`.
+    """
+    _reject_layer_norm((model,), "widening")
+    layers = [_stack_layer(layer.heads, layer.ffn, [], FeedForward.zero(extra)) for layer in model.layers]
+    embedding = {sym: vec + (0,) * extra for sym, vec in model.embedding.items()}
+    return Transformer(
+        model.width + extra, model.alphabet, embedding, layers, None, model.position_embeddings
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +537,7 @@ def apply_layernorm_encoding(model: Transformer, mode: str = "exact") -> Transfo
                 raise TransformerError(
                     f"embedding of {sym!r} is not Boolean; cannot pair-encode"
                 )
-    d = model.width
-    d2 = 2 * d
+    d2 = 2 * model.width
 
     def pair_vec(vec):
         out = []
@@ -474,34 +546,23 @@ def apply_layernorm_encoding(model: Transformer, mode: str = "exact") -> Transfo
         return tuple(out)
 
     def encode_head(head: AttentionHead) -> AttentionHead:
-        score = [[Fraction(0)] * d2 for _ in range(d2)]
-        for r, c, v in head._score_nnz:
-            score[2 * r][2 * c] = v
-        value = [[Fraction(0)] * d2 for _ in range(d2)]
-        for r, c, v in head._value_nnz:
-            value[2 * r][2 * c] = v
-            value[2 * r + 1][2 * c] = -v
-        bias = None
-        if head.value_bias is not None:
-            bias = []
-            for v in head.value_bias:
-                bias.extend([v, -v])
+        score = SparseMatrix(d2, d2, [(2 * r, 2 * c, v) for r, c, v in head.score_sparse.entries])
+        value = SparseMatrix(
+            d2,
+            d2,
+            [e for r, c, v in head.value_sparse.entries for e in ((2 * r, 2 * c, v), (2 * r + 1, 2 * c, -v))],
+        )
+        bias = _negated_pairs(head.value_bias) if head.value_bias is not None else None
         return AttentionHead(score, head.mask, head.tiebreak, value, bias)
 
     def encode_ffn(ffn: FeedForward) -> FeedForward:
-        w1 = []
-        for row in ffn.w1:
-            new = [Fraction(0)] * d2
-            for c, v in enumerate(row):
-                new[2 * c] = v
-            w1.append(tuple(new))
-        w2 = []
-        b2 = []
-        for r, row in enumerate(ffn.w2):
-            w2.append(tuple(row))
-            w2.append(tuple(-v for v in row))
-            b2.extend([ffn.b2[r], -ffn.b2[r]])
-        return FeedForward(tuple(w1), ffn.b1, tuple(w2), tuple(b2))
+        w1 = SparseMatrix(ffn.hidden, d2, [(r, 2 * c, v) for r, c, v in ffn.w1_sparse.entries])
+        w2 = SparseMatrix(
+            d2,
+            ffn.hidden,
+            [e for r, c, v in ffn.w2_sparse.entries for e in ((2 * r, c, v), (2 * r + 1, c, -v))],
+        )
+        return FeedForward(w1, ffn.b1, w2, _negated_pairs(ffn.b2))
 
     half = Fraction(1, 2)
     quarter = Fraction(1, 4)
@@ -536,22 +597,18 @@ def apply_layernorm_encoding(model: Transformer, mode: str = "exact") -> Transfo
     return Transformer(d2, model.alphabet, embedding, layers, output, tuple(pes))
 
 
-def _paired_pe(pe: PositionEmbedding) -> PositionEmbedding:
-    def func(n, i):
-        out = []
-        for v in pe(n, i):
-            out.extend([v, -v])
-        return tuple(out)
+def _negated_pairs(vec) -> tuple:
+    return tuple(x for v in vec for x in (v, -v))
 
+
+def _paired_pe(pe: PositionEmbedding) -> PositionEmbedding:
     values = None
     if pe.values is not None:
-        values = tuple(
-            tuple(x for v in vec for x in (v, -v)) for vec in pe.values
-        )
+        values = tuple(_negated_pairs(vec) for vec in pe.values)
     return PositionEmbedding(
         f"paired({pe.name})",
         2 * pe.dim,
-        func,
+        lambda n, i: _negated_pairs(pe(n, i)),
         pe.finite_image,
         period=pe.period,
         values=values,
@@ -561,14 +618,21 @@ def _paired_pe(pe: PositionEmbedding) -> PositionEmbedding:
 
 # ---------------------------------------------------------------------------
 # Weight files
+#
+# Format 2 stores each matrix as {"shape": [rows, cols], "entries": [[row,
+# col, "p/q"], ...]} with the entries sorted by position; vectors are lists
+# of "p/q" tokens. Format 1 files (no "format" key) store matrices as dense
+# rows; they are still read, and saving always writes format 2.
+
+WEIGHT_FORMAT = 2
 
 
 def _tok_vec(vec):
     return [exact.to_token(v) for v in vec]
 
 
-def _tok_mat(mat):
-    return [_tok_vec(row) for row in mat]
+def _tok_mat(m: SparseMatrix) -> dict:
+    return {"shape": list(m.shape), "entries": [[r, c, exact.to_token(v)] for r, c, v in m.entries]}
 
 
 def transformer_to_json(model: Transformer, coord_doc=None) -> str:
@@ -580,17 +644,17 @@ def transformer_to_json(model: Transformer, coord_doc=None) -> str:
                 {
                     "mask": h.mask.value,
                     "tiebreak": h.tiebreak,
-                    "score": _tok_mat(h.score_matrix),
-                    "value": _tok_mat(h.value_matrix),
+                    "score": _tok_mat(h.score_sparse),
+                    "value": _tok_mat(h.value_sparse),
                     "value_bias": _tok_vec(h.value_bias) if h.value_bias is not None else None,
                 }
             )
         entry = {
             "heads": heads,
             "ffn": {
-                "w1": _tok_mat(layer.ffn.w1),
+                "w1": _tok_mat(layer.ffn.w1_sparse),
                 "b1": _tok_vec(layer.ffn.b1),
-                "w2": _tok_mat(layer.ffn.w2),
+                "w2": _tok_mat(layer.ffn.w2_sparse),
                 "b2": _tok_vec(layer.ffn.b2),
             },
         }
@@ -610,6 +674,7 @@ def transformer_to_json(model: Transformer, coord_doc=None) -> str:
             raise TransformerError(f"position embedding {pe.name!r} is not serializable")
         pes.append({"offset": offset, "pe": pe.spec})
     payload = {
+        "format": WEIGHT_FORMAT,
         "width": model.width,
         "alphabet": list(model.alphabet.symbols),
         "embedding": {sym: _tok_vec(vec) for sym, vec in model.embedding.items()},
@@ -623,58 +688,84 @@ def transformer_to_json(model: Transformer, coord_doc=None) -> str:
     }
     if coord_doc:
         payload["coords"] = coord_doc
-    return json.dumps(payload, indent=1) + "\n"
+    return json.dumps(payload) + "\n"
 
 
 def _untok_vec(vec):
     return tuple(exact.from_token(v) for v in vec)
 
 
-def _untok_mat(mat):
-    return tuple(_untok_vec(row) for row in mat)
+def _decode(where: str, fn, *args):
+    """Run one step of decoding a weight file; any failure names `where`."""
+    try:
+        return fn(*args)
+    except KeyError as e:
+        raise TransformerError(f"{where}: missing field {e.args[0]!r}") from None
+    except (TransformerError, TypeError, IndexError, ValueError, AttributeError) as e:
+        raise TransformerError(f"{where}: {e}") from None
 
 
 def transformer_from_json(text: str) -> Transformer:
-    payload = json.loads(text)
-    masks = {m.value: m for m in MaskKind}
-    layers = []
-    for entry in payload["layers"]:
-        heads = []
-        for h in entry["heads"]:
-            heads.append(
-                AttentionHead(
-                    _untok_mat(h["score"]),
-                    masks[h["mask"]],
-                    h["tiebreak"],
-                    _untok_mat(h["value"]),
-                    _untok_vec(h["value_bias"]) if h.get("value_bias") else None,
-                )
-            )
-        ffn = FeedForward(
-            _untok_mat(entry["ffn"]["w1"]),
-            _untok_vec(entry["ffn"]["b1"]),
-            _untok_mat(entry["ffn"]["w2"]),
-            _untok_vec(entry["ffn"]["b2"]),
+    """Load a weight file of either format."""
+    return _decode("weight file", _transformer_from_payload, json.loads(text))
+
+
+def _transformer_from_payload(payload: dict) -> Transformer:
+    fmt = payload.get("format", 1)
+    if fmt not in (1, WEIGHT_FORMAT):
+        raise TransformerError(f"unknown format {fmt!r}")
+    width = payload["width"]
+
+    def matrix(spec, cols: int) -> SparseMatrix:
+        """A format-2 matrix, or format-1 dense rows of `cols` entries."""
+        if fmt == 1:
+            return SparseMatrix.from_dense([_untok_vec(row) for row in spec], cols)
+        rows, cols = spec["shape"]
+        return SparseMatrix(rows, cols, [(r, c, exact.from_token(v)) for r, c, v in spec["entries"]])
+
+    def head(h) -> AttentionHead:
+        return AttentionHead(
+            _decode("score", matrix, h["score"], width),
+            MaskKind(h["mask"]),
+            h["tiebreak"],
+            _decode("value", matrix, h["value"], width),
+            _untok_vec(h["value_bias"]) if h.get("value_bias") else None,
         )
-        lns = {}
-        for key in ("ln_att", "ln_ffn"):
-            if entry.get(key):
-                spec = entry[key]
-                lns[key] = LayerNorm(
-                    _untok_vec(spec["gamma"]),
-                    _untok_vec(spec["beta"]),
-                    spec["mode"],
-                    exact.from_token(spec["expected_mean"]) if spec.get("expected_mean") else None,
-                    exact.from_token(spec["expected_var"]) if spec.get("expected_var") else None,
-                )
-        layers.append(TransformerLayer(heads, ffn, lns.get("ln_att"), lns.get("ln_ffn")))
-    pes = []
-    for item in payload.get("position_embeddings", []):
+
+    def ffn(spec) -> FeedForward:
+        w1 = _decode("w1", matrix, spec["w1"], width)
+        w2 = _decode("w2", matrix, spec["w2"], w1.shape[0])
+        return FeedForward(w1, _untok_vec(spec["b1"]), w2, _untok_vec(spec["b2"]))
+
+    def layer_norm(spec) -> LayerNorm:
+        return LayerNorm(
+            _untok_vec(spec["gamma"]),
+            _untok_vec(spec["beta"]),
+            spec["mode"],
+            exact.from_token(spec["expected_mean"]) if spec.get("expected_mean") else None,
+            exact.from_token(spec["expected_var"]) if spec.get("expected_var") else None,
+        )
+
+    def layer(entry) -> TransformerLayer:
+        heads = [_decode(f"head {k}", head, h) for k, h in enumerate(entry["heads"])]
+        lns = {
+            key: _decode(key, layer_norm, entry[key]) for key in ("ln_att", "ln_ffn") if entry.get(key)
+        }
+        return TransformerLayer(
+            heads, _decode("ffn", ffn, entry["ffn"]), lns.get("ln_att"), lns.get("ln_ffn")
+        )
+
+    def position_embedding(item) -> tuple:
         spec = item["pe"]
         if spec.get("kind") == "paired":
-            pes.append((_paired_pe(pe_from_spec(spec["inner"])), item["offset"]))
-        else:
-            pes.append((pe_from_spec(spec), item["offset"]))
+            return _paired_pe(pe_from_spec(spec["inner"])), item["offset"]
+        return pe_from_spec(spec), item["offset"]
+
+    layers = [_decode(f"layer {k}", layer, entry) for k, entry in enumerate(payload["layers"], start=1)]
+    pes = [
+        _decode(f"position embedding {k}", position_embedding, item)
+        for k, item in enumerate(payload.get("position_embeddings", []))
+    ]
     output = None
     if payload.get("output"):
         output = OutputLayer(
@@ -682,7 +773,7 @@ def transformer_from_json(text: str) -> Transformer:
             exact.from_token(payload["output"]["bias"]),
         )
     return Transformer(
-        payload["width"],
+        width,
         Alphabet(tuple(payload["alphabet"])),
         {sym: _untok_vec(vec) for sym, vec in payload["embedding"].items()},
         layers,

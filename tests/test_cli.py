@@ -1,10 +1,12 @@
 """End-to-end command-line tests, exercising every subcommand."""
 
 import json
+import re
 
 import pytest
 
-from starfree import corpus
+from starfree import compiler, corpus
+from starfree import transformer as tf
 from starfree.cli import main
 
 
@@ -169,3 +171,102 @@ def test_corpus_list_and_show(capsys):
 
 def test_unknown_file_is_error(capsys):
     assert main(["run", "/nonexistent/path", "--input", "a"]) == 2
+
+
+def _dyck_payload() -> dict:
+    model = compiler.compile_naive(corpus.dyck_program())
+    return json.loads(tf.transformer_to_json(model))
+
+
+def _as_format_1(payload: dict) -> dict:
+    """The same weights in the format-1 layout: matrices as dense rows."""
+
+    def dense(spec):
+        rows, cols = spec["shape"]
+        out = [["0"] * cols for _ in range(rows)]
+        for r, c, v in spec["entries"]:
+            out[r][c] = v
+        return out
+
+    for layer in payload["layers"]:
+        for head in layer["heads"]:
+            head["score"], head["value"] = dense(head["score"]), dense(head["value"])
+        ffn = layer["ffn"]
+        ffn["w1"], ffn["w2"] = dense(ffn["w1"]), dense(ffn["w2"])
+    del payload["format"]
+    return payload
+
+
+def _write(tmp_path, payload) -> str:
+    path = tmp_path / "weights"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_format_1_weight_file_runs(tmp_path, capsys):
+    path = _write(tmp_path, _as_format_1(_dyck_payload()))
+    assert main(["run-transformer", path, "--input", "llrr"]) == 0
+    assert "accept: True" in capsys.readouterr().out
+    assert main(["run-transformer", path, "--input", "lrrl"]) == 1
+
+
+@pytest.mark.parametrize("fmt", [1, 2])
+def test_short_value_matrix_is_rejected(fmt, tmp_path, capsys):
+    # The last layer's head copies the attended value bit into the last
+    # coordinate. Without the row that writes it, the model would reject
+    # "llrr"; loading must fail instead.
+    payload = _dyck_payload()
+    last = payload["width"] - 1
+    value = payload["layers"][-1]["heads"][0]["value"]
+    assert any(r == last for r, _c, _v in value["entries"])
+    if fmt == 1:
+        payload = _as_format_1(payload)
+        payload["layers"][-1]["heads"][0]["value"].pop()
+    else:
+        value["shape"][0] = last
+        value["entries"] = [e for e in value["entries"] if e[0] != last]
+    path = _write(tmp_path, payload)
+    with pytest.raises(tf.TransformerError, match="value matrix"):
+        tf.transformer_from_json(open(path).read())
+    assert main(["run-transformer", path, "--input", "llrr"]) == 2
+    assert "value matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "corrupt, named",
+    [
+        (lambda p: p["layers"][0].pop("ffn"), "layer 1: missing field 'ffn'"),
+        (lambda p: p.update(format=3), "unknown format 3"),
+        (lambda p: p.pop("width"), "missing field 'width'"),
+        (lambda p: p["layers"][0]["heads"][0].update(mask="j<>i"), "layer 1: head 0"),
+        (lambda p: p["layers"][1]["heads"][0]["score"]["entries"].append([0, p["width"], "1"]), "outside"),
+        (lambda p: p["layers"][0]["ffn"]["w1"]["entries"][0].pop(), "layer 1: ffn: w1"),
+        (lambda p: p["layers"][0]["ffn"]["b1"].pop(), "feed-forward b1"),
+        (lambda p: p["embedding"]["l"].pop(), "embedding of 'l'"),
+        (lambda p: p["output"]["weights"].pop(), "output weights"),
+    ],
+)
+def test_malformed_weight_file_is_a_usage_error(corrupt, named, tmp_path, capsys):
+    payload = _dyck_payload()
+    corrupt(payload)
+    path = _write(tmp_path, payload)
+    with pytest.raises(tf.TransformerError, match=re.escape(named)):
+        tf.transformer_from_json(open(path).read())
+    assert main(["run-transformer", path, "--input", "llrr"]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_run_transformer_runs_the_model_once(dyck_path, tmp_path, monkeypatch, capsys):
+    weights = tmp_path / "w"
+    assert main(["compile", dyck_path, "-o", str(weights)]) == 0
+    calls = []
+    real = tf.run_transformer
+
+    def counting(model, text):
+        calls.append(text)
+        return real(model, text)
+
+    monkeypatch.setattr(tf, "run_transformer", counting)
+    assert main(["run-transformer", str(weights), "--input", "llrr", "--trace"]) == 0
+    assert "accept: True" in capsys.readouterr().out
+    assert calls == ["llrr"]

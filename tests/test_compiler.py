@@ -260,3 +260,42 @@ def test_weight_round_trip_of_compiled_model():
     again = tf.transformer_from_json(text)
     for w in ["lr", "llrr", "lrrlllrrrl"]:
         assert tf.accepts_transformer(again, w) == tf.accepts_transformer(model, w)
+
+
+def test_weight_files_round_trip_every_corpus_model():
+    for make in corpus.corpus().programs.values():
+        prog = make()
+        models = [compile_naive(prog)]
+        if not prog.predicate_families:
+            models.append(compile_depth_preserving(prog))
+        models += [tf.apply_layernorm_encoding(m) for m in models]
+        for model in models:
+            text = tf.transformer_to_json(model)
+            assert tf.transformer_to_json(tf.transformer_from_json(text)) == text
+
+
+def _dense_weight_counts(model) -> tuple:
+    """(nonzero, total) scalars over every weight vector and dense matrix view."""
+    vectors = [list(v) for v in model.embedding.values()]
+    for layer in model.layers:
+        for head in layer.heads:
+            vectors += [list(r) for r in head.score_matrix + head.value_matrix]
+            if head.value_bias is not None:
+                vectors.append(list(head.value_bias))
+        ffn = layer.ffn
+        vectors += [list(r) for r in ffn.w1 + ffn.w2] + [list(ffn.b1), list(ffn.b2)]
+    if model.output is not None:
+        vectors.append(list(model.output.weights))
+    return sum(1 for vec in vectors for v in vec if v != 0), sum(len(vec) for vec in vectors)
+
+
+@pytest.mark.parametrize(
+    "make, compile_fn, counts",
+    [
+        (corpus.dyck_program, compile_naive, (297, 41592)),
+        (corpus.parity_mod_program, compile_naive, (4, 34)),
+        (corpus.dyck_program, compile_depth_preserving, (4027, 398877)),
+    ],
+)
+def test_dense_weight_counts_are_pinned(make, compile_fn, counts):
+    assert _dense_weight_counts(compile_fn(make())) == counts

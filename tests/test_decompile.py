@@ -20,9 +20,9 @@ from starfree.transformer import (
     AttentionHead,
     FeedForward,
     OutputLayer,
+    SparseMatrix,
     Transformer,
     TransformerLayer,
-    zero_matrix,
 )
 
 F = Fraction
@@ -119,13 +119,9 @@ def test_decompile_round_trip_phi2():
 def test_decompile_handwritten_fractional_scores():
     # Scores in {0, 1/2, 1}: rightmost earlier b scores 1, earlier a scores 1/2.
     emb = {"a": (F(1), F(0), F(0)), "b": (F(0), F(1), F(0))}
-    score = [[F(0)] * 3 for _ in range(3)]
-    score[0][0] = F(1, 2)  # query is anything; key a gives 1/2
-    score[1][0] = F(1, 2)
-    score[0][1] = F(1)
-    score[1][1] = F(1)
-    value = [[F(0)] * 3 for _ in range(3)]
-    value[2][1] = F(1)  # copy the attended b-indicator into coord 2
+    # query is anything; key a gives 1/2, key b gives 1
+    score = SparseMatrix(3, 3, [(0, 0, F(1, 2)), (1, 0, F(1, 2)), (0, 1, F(1)), (1, 1, F(1))])
+    value = SparseMatrix(3, 3, [(2, 1, F(1))])  # copy the attended b-indicator into coord 2
     head = AttentionHead(score, MaskKind.FUTURE, tf.RIGHTMOST, value)
     layer = TransformerLayer([head], FeedForward.zero(3))
     model = Transformer(
@@ -169,12 +165,10 @@ def test_decompile_requires_output_layer():
 def test_decompile_multihead_layer():
     # Two heads writing different coords; output checks their agreement.
     emb = {"a": (F(1), F(0), F(0), F(0)), "b": (F(0), F(1), F(0), F(0))}
-    v1 = [[F(0)] * 4 for _ in range(4)]
-    v1[2][0] = F(1)  # copy attended a-bit into coord 2
-    h1 = AttentionHead(zero_matrix(4, 4), MaskKind.FUTURE, tf.RIGHTMOST, v1)
-    v2 = [[F(0)] * 4 for _ in range(4)]
-    v2[3][1] = F(1)  # copy attended b-bit into coord 3
-    h2 = AttentionHead(zero_matrix(4, 4), MaskKind.PAST, tf.LEFTMOST, v2)
+    v1 = SparseMatrix(4, 4, [(2, 0, F(1))])  # copy attended a-bit into coord 2
+    h1 = AttentionHead(SparseMatrix(4, 4), MaskKind.FUTURE, tf.RIGHTMOST, v1)
+    v2 = SparseMatrix(4, 4, [(3, 1, F(1))])  # copy attended b-bit into coord 3
+    h2 = AttentionHead(SparseMatrix(4, 4), MaskKind.PAST, tf.LEFTMOST, v2)
     layer = TransformerLayer([h1, h2], FeedForward.zero(4))
     model = Transformer(
         4,

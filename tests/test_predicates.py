@@ -113,6 +113,7 @@ def test_pe_equipped_transformer_distinguishes_positions():
         AttentionHead,
         FeedForward,
         OutputLayer,
+        SparseMatrix,
         Transformer,
         TransformerLayer,
     )
@@ -122,11 +123,9 @@ def test_pe_equipped_transformer_distinguishes_positions():
         "a": (F(1), F(0), F(0), F(0), F(0)),
         "b": (F(0), F(1), F(0), F(0), F(0)),
     }
-    score = [[F(0)] * 5 for _ in range(5)]
-    score[0][2] = F(1)  # query weight on own a-coord times key sin coord
-    score[1][2] = F(1)
-    value = [[F(0)] * 5 for _ in range(5)]
-    value[4][0] = F(1)  # copy attended a-indicator upward
+    # query weight on own a-coord (and b-coord) times key sin coord
+    score = SparseMatrix(5, 5, [(0, 2, F(1)), (1, 2, F(1))])
+    value = SparseMatrix(5, 5, [(4, 0, F(1))])  # copy attended a-indicator upward
     head = AttentionHead(score, MaskKind.NONE, "rightmost", value)
     model = Transformer(
         5,

@@ -1,5 +1,6 @@
 """Runtime semantics: hard attention, residuals, composition, layer norm."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from starfree.transformer import (
     FeedForward,
     LayerNorm,
     OutputLayer,
+    SparseMatrix,
     Transformer,
     TransformerError,
     TransformerLayer,
@@ -20,7 +22,6 @@ from starfree.transformer import (
     accepts_transformer,
     transformer_from_json,
     transformer_to_json,
-    zero_matrix,
 )
 
 F = Fraction
@@ -38,10 +39,8 @@ def _one_hot_embedding(width=2):
 
 def _copy_head(mask, tiebreak, width=2):
     # Score 0 everywhere; value copies the attended vector.
-    value = [[F(0)] * width for _ in range(width)]
-    for k in range(width):
-        value[k][k] = F(1)
-    return AttentionHead(zero_matrix(width, width), mask, tiebreak, value)
+    value = SparseMatrix(width, width, [(k, k, F(1)) for k in range(width)])
+    return AttentionHead(SparseMatrix(width, width), mask, tiebreak, value)
 
 
 def test_strict_future_head_is_empty_at_first_position():
@@ -63,10 +62,8 @@ def test_rightmost_and_leftmost_choices():
 
 def test_scores_select_argmax_positions():
     # Score = 1 iff attended position holds symbol b.
-    score = [[F(0), F(0)], [F(0), F(0)]]
-    score[0][1] = F(1)
-    score[1][1] = F(1)
-    value = [[F(0), F(0)], [F(0), F(1)]]
+    score = SparseMatrix(2, 2, [(0, 1, F(1)), (1, 1, F(1))])
+    value = SparseMatrix(2, 2, [(1, 1, F(1))])
     head = AttentionHead(score, MaskKind.FUTURE, RIGHTMOST, value)
     layer = TransformerLayer([head], FeedForward.zero(2))
     model = Transformer(2, AB, _one_hot_embedding(), [layer])
@@ -78,9 +75,9 @@ def test_scores_select_argmax_positions():
 def test_ffn_and_gadget():
     # relu(x0 + x1 - 1) computes AND of two Boolean inputs into coord 0 delta.
     ffn = FeedForward(
-        ((F(1), F(1)),),
+        SparseMatrix(1, 2, [(0, 0, F(1)), (0, 1, F(1))]),
         (F(-1),),
-        ((F(1),), (F(0),)),
+        SparseMatrix(2, 1, [(0, 0, F(1))]),
         (F(0), F(0)),
     )
     assert ffn.apply([F(1), F(1)]) == [F(1), F(0)]
@@ -192,20 +189,91 @@ def test_layernorm_assert_mode_checks_stats():
         ln.apply([F(1), F(1), F(1), F(0)])
 
 
-def test_weight_file_round_trip():
-    score = [[F(0), F(1, 3)], [F(-2), F(0)]]
-    value = [[F(1), F(0)], [F(0), F(-1, 7)]]
+def _two_wide_model():
+    score = SparseMatrix(2, 2, [(0, 1, F(1, 3)), (1, 0, F(-2))])
+    value = SparseMatrix(2, 2, [(0, 0, F(1)), (1, 1, F(-1, 7))])
     head = AttentionHead(score, MaskKind.PAST_EQ, LEFTMOST, value, (F(5), F(0)))
-    ffn = FeedForward(((F(1), F(-1)),), (F(2),), ((F(1),), (F(3),)), (F(0), F(-1, 2)))
-    model = Transformer(
+    w1 = SparseMatrix(1, 2, [(0, 0, F(1)), (0, 1, F(-1))])
+    w2 = SparseMatrix(2, 1, [(0, 0, F(1)), (1, 0, F(3))])
+    ffn = FeedForward(w1, (F(2),), w2, (F(0), F(-1, 2)))
+    return Transformer(
         2,
         AB,
         _one_hot_embedding(),
         [TransformerLayer([head], ffn)],
         OutputLayer((F(1), F(0)), F(-1, 2)),
     )
+
+
+def test_weight_file_round_trip():
+    model = _two_wide_model()
     text = transformer_to_json(model)
     again = transformer_from_json(text)
     assert transformer_to_json(again) == text
     for w in ["a", "ab", "abba"]:
         assert accepts_transformer(again, w) == accepts_transformer(model, w)
+
+
+# `_two_wide_model` as the format-1 writer saved it (dense rows, no "format"
+# key), re-dumped without indentation.
+V1_TWO_WIDE = (
+    '{"width":2,"alphabet":["a","b"],"embedding":{"a":["1","0"],"b":["0","1"]},'
+    '"position_embeddings":[],"layers":[{"heads":[{"mask":"j>=i","tiebreak":"leftmost",'
+    '"score":[["0","1/3"],["-2","0"]],"value":[["1","0"],["0","-1/7"]],"value_bias":["5","0"]}],'
+    '"ffn":{"w1":[["1","-1"]],"b1":["2"],"w2":[["1"],["3"]],"b2":["0","-1/2"]}}],'
+    '"output":{"weights":["1","0"],"bias":"-1/2"}}'
+)
+
+
+def test_format_1_file_loads_and_resaves_as_format_2():
+    model = _two_wide_model()
+    old = transformer_from_json(V1_TWO_WIDE)
+    for w in ["a", "b", "ab", "ba", "abba", "bbab"]:
+        assert accepts_transformer(old, w) == accepts_transformer(model, w)
+        want = run_transformer(model, w)
+        got = run_transformer(old, w)
+        assert got.layers[0].choices == want.layers[0].choices
+        assert got.final == want.final
+    text = transformer_to_json(old)
+    assert json.loads(text)["format"] == 2
+    assert text == transformer_to_json(model)
+    assert transformer_to_json(transformer_from_json(text)) == text
+
+
+def test_v2_matrices_are_shape_and_sorted_triples():
+    payload = json.loads(transformer_to_json(_two_wide_model()))
+    head = payload["layers"][0]["heads"][0]
+    assert head["score"] == {"shape": [2, 2], "entries": [[0, 1, "1/3"], [1, 0, "-2"]]}
+    assert payload["layers"][0]["ffn"]["w2"] == {"shape": [2, 1], "entries": [[0, 0, "1"], [1, 0, "3"]]}
+
+
+def test_dense_views_keep_their_shape():
+    model = _two_wide_model()
+    head, ffn = model.layers[0].heads[0], model.layers[0].ffn
+    assert head.score_matrix == ((0, F(1, 3)), (-2, 0))
+    assert head.value_matrix == ((1, 0), (0, F(-1, 7)))
+    assert ffn.w1 == ((1, -1),)
+    assert ffn.w2 == ((1,), (3,))
+    assert FeedForward.zero(3).w1 == () and FeedForward.zero(3).w2 == ((), (), ())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SparseMatrix(2, 2, [(2, 0, 1)]),
+        lambda: SparseMatrix(2, 2, [(0, -1, 1)]),
+        lambda: SparseMatrix(2, 2, [(0, 0, 1), (0, 0, 2)]),
+        lambda: AttentionHead(SparseMatrix(2, 2), MaskKind.NONE, LEFTMOST, SparseMatrix(1, 2)),
+        lambda: AttentionHead(SparseMatrix(2, 2), MaskKind.NONE, LEFTMOST, SparseMatrix(2, 2), (1,)),
+        lambda: FeedForward(SparseMatrix(1, 2), (1, 2), SparseMatrix(2, 1), (0, 0)),
+        lambda: FeedForward(SparseMatrix(1, 2), (1,), SparseMatrix(2, 2), (0, 0)),
+        lambda: FeedForward(SparseMatrix(1, 2), (1,), SparseMatrix(2, 1), (0,)),
+        lambda: Transformer(2, AB, {"a": (1, 0), "b": (0,)}, []),
+        lambda: Transformer(2, AB, _one_hot_embedding(), [], OutputLayer((1,), 0)),
+        lambda: Transformer(3, AB, _one_hot_embedding(3), [TransformerLayer([_copy_head(MaskKind.NONE, LEFTMOST)], FeedForward.zero(3))]),
+        lambda: Transformer(2, AB, _one_hot_embedding(), [TransformerLayer([_copy_head(MaskKind.NONE, LEFTMOST)], FeedForward.zero(3))]),
+    ],
+)
+def test_shapes_are_checked_at_construction(build):
+    with pytest.raises(TransformerError):
+        build()

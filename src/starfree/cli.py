@@ -10,6 +10,7 @@ is parsed as a formula. `corpus:NAME` names a built-in language's oracle.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -234,13 +235,18 @@ def cmd_automata(args) -> int:
     return 0
 
 
-def _diff_chunk(spec_a, spec_b, symbols, lengths):
+def _diff_part(spec_a, spec_b, symbols, bound, part, parts):
+    """Compare on the part-th of `parts` equal slices of every length's strings."""
     _, _, left = recognizer_spec(spec_a)
     _, _, right = recognizer_spec(spec_b)
+    join = all(len(s) == 1 for s in symbols)
     mismatches = []
     checked = 0
-    for n in lengths:
-        for w in testkit.strings_over(symbols, n, min_len=n):
+    for n in range(1, bound + 1):
+        total = len(symbols) ** n
+        strings = itertools.product(symbols, repeat=n)
+        for tup in itertools.islice(strings, total * part // parts, total * (part + 1) // parts):
+            w = "".join(tup) if join else list(tup)
             checked += 1
             a, b = bool(left(w)), bool(right(w))
             if a != b:
@@ -249,28 +255,26 @@ def _diff_chunk(spec_a, spec_b, symbols, lengths):
 
 
 def cmd_diff(args) -> int:
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     name_a, alpha_a, left = recognizer_spec(args.left)
     name_b, alpha_b, right = recognizer_spec(args.right)
     alphabet = _alphabet_from(args, alpha_a, alpha_b)
     if args.jobs > 1:
-        lengths = list(range(1, args.bound + 1))
-        chunks = [lengths[k::args.jobs] for k in range(args.jobs)]
-        checked = 0
-        mismatches = []
+        symbols = tuple(alphabet.symbols)
+        testkit.check_enumeration(symbols, args.bound)
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = [
-                pool.submit(_diff_chunk, args.left, args.right, tuple(alphabet.symbols), chunk)
-                for chunk in chunks
-                if chunk
+                pool.submit(_diff_part, args.left, args.right, symbols, args.bound, k, args.jobs)
+                for k in range(args.jobs)
             ]
-            for fut in futures:
-                c, ms = fut.result()
-                checked += c
-                mismatches.extend(ms)
-        mismatches.sort(key=lambda m: (len(m[0]), m[0]))
-        report = testkit.DiffReport(
-            name_a, name_b, tuple(alphabet.symbols), args.bound, checked, mismatches
-        )
+            parts = [fut.result() for fut in futures]
+        # Each part lists its mismatches by length, and part k's strings of a
+        # length precede part k+1's: a stable sort by length restores
+        # length-lexicographic order.
+        mismatches = sorted((m for _, ms in parts for m in ms), key=lambda m: len(m[0]))
+        checked = sum(c for c, _ in parts)
+        report = testkit.DiffReport(name_a, name_b, symbols, args.bound, checked, mismatches)
     else:
         report = testkit.diff_languages(
             left, right, alphabet, args.bound, names=(name_a, name_b)

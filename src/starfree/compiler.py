@@ -515,7 +515,7 @@ def compile_depth_preserving(prog: BraspProgram) -> Transformer:
                 model.width,
                 model.alphabet,
                 model.embedding,
-                model.layers + [top],
+                (*model.layers, top),
                 None,
                 model.position_embeddings,
             )

@@ -20,6 +20,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
+# `type(x) in _RATIONAL` is tested before `isinstance`: Fraction's metaclass
+# is ABCMeta, whose instance check is slow, and these functions are hot.
+_RATIONAL = (int, Fraction)
+
 
 def as_exact(x):
     """Coerce ints, "p/q" strings, Fractions or sympy numbers to an exact scalar."""
@@ -75,9 +79,7 @@ def _sympy_sign(expr) -> int:
 
 
 def sign(x) -> int:
-    if isinstance(x, Fraction):
-        return (x > 0) - (x < 0)
-    if isinstance(x, int):
+    if type(x) in _RATIONAL or isinstance(x, _RATIONAL):
         return (x > 0) - (x < 0)
     if isinstance(x, sympy.Expr):
         return _sympy_sign(x)
@@ -86,7 +88,9 @@ def sign(x) -> int:
 
 def compare(a, b) -> int:
     """Three-way exact comparison, -1 / 0 / +1."""
-    if isinstance(a, (Fraction, int)) and isinstance(b, (Fraction, int)):
+    if (type(a) in _RATIONAL or isinstance(a, _RATIONAL)) and (
+        type(b) in _RATIONAL or isinstance(b, _RATIONAL)
+    ):
         return (a > b) - (a < b)
     return sign(sympy.sympify(a) - sympy.sympify(b))
 
@@ -96,9 +100,10 @@ def eq(a, b) -> bool:
 
 
 def relu(x):
-    if isinstance(x, (Fraction, int)):
-        return x if x > 0 else ZERO
-    return x if sign(x) > 0 else ZERO
+    """max(x, 0); non-positive inputs give the int 0."""
+    if type(x) in _RATIONAL or isinstance(x, _RATIONAL):
+        return x if x > 0 else 0
+    return x if sign(x) > 0 else 0
 
 
 def is_rational(x) -> bool:

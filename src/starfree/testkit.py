@@ -65,9 +65,8 @@ def strings_over(alphabet, max_len: int, min_len: int = 1):
             yield "".join(tup) if all(len(s) == 1 for s in symbols) else list(tup)
 
 
-def diff_languages(left, right, alphabet, bound: int, names=("left", "right")) -> DiffReport:
-    """Exhaustively compare two recognizers on all strings of length 1..bound."""
-    symbols = tuple(alphabet.symbols) if isinstance(alphabet, Alphabet) else tuple(alphabet)
+def check_enumeration(symbols, bound: int) -> int:
+    """The number of strings of length 1..bound; a ValueError past the guard."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
     total = sum(len(symbols) ** n for n in range(1, bound + 1))
@@ -75,6 +74,13 @@ def diff_languages(left, right, alphabet, bound: int, names=("left", "right")) -
         raise ValueError(
             f"enumeration of {total} strings exceeds guard {ENUMERATION_GUARD}"
         )
+    return total
+
+
+def diff_languages(left, right, alphabet, bound: int, names=("left", "right")) -> DiffReport:
+    """Exhaustively compare two recognizers on all strings of length 1..bound."""
+    symbols = tuple(alphabet.symbols) if isinstance(alphabet, Alphabet) else tuple(alphabet)
+    check_enumeration(symbols, bound)
     mismatches = []
     checked = 0
     for w in strings_over(symbols, bound):

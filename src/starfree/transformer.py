@@ -15,10 +15,29 @@ its own residual. Optional layer normalization runs after either sublayer.
 Weight matrices are sparse (`SparseMatrix`): in compiled models about one
 weight in a hundred is nonzero, or fewer, so every combinator and the
 runtime work on the nonzero entries only. Vectors are dense tuples.
+
+Evaluation is memoized over interned states. Without position embeddings,
+or with finite-image ones, each layer's activations lie in a finite set that
+does not depend on the input length (the property `enumerate_value_set`
+enumerates), so the evaluator numbers the distinct activation vectors of
+each level and computes each sublayer once per distinct input: a head's
+query and value once per state, its score once per (query, key state) pair,
+and the step from (state, the states each head attended to) through the
+value sum, layer norms and feed-forward net once per such pair. Only the
+argmax over positions is redone for every string. The cache is built on
+first use and kept on the model when every position embedding is
+finite-image with rational values; rationals have one representation per
+value, so the cache then holds at most the enumerated value set. Other
+models (sinusoidal embeddings with algebraic values, or embeddings without
+a finite-image certificate) get a fresh cache for each call. The cache is
+never pickled or written to weight files. Sublayers are called by attribute
+lookup at every miss, so wrappers installed on a model's heads, feed-forward
+nets and layer norms see every computation the evaluator makes.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -268,12 +287,13 @@ def _exact_sqrt(v: Fraction) -> Fraction:
 
 @dataclass
 class TransformerLayer:
-    heads: list
+    heads: tuple
     ffn: FeedForward
     ln_att: Optional[LayerNorm] = None
     ln_ffn: Optional[LayerNorm] = None
 
     def __post_init__(self):
+        self.heads = tuple(self.heads)
         if not self.heads:
             raise TransformerError("layer needs at least one head")
 
@@ -297,8 +317,10 @@ class Transformer:
         self.width = width
         self.alphabet = alphabet if isinstance(alphabet, Alphabet) else Alphabet(tuple(alphabet))
         self.embedding = {sym: _vec(vec, width, f"embedding of {sym!r}") for sym, vec in embedding.items()}
-        self.layers = list(layers)
+        self.layers = tuple(layers)
         self.output = output
+        if output is not None:
+            self.output = OutputLayer(_vec(output.weights, width, "output weights"), output.bias)
         self.position_embeddings = tuple(position_embeddings)
         for sym in self.alphabet.symbols:
             if sym not in self.embedding:
@@ -313,11 +335,13 @@ class Transformer:
             for piece, size in sizes:
                 if size != width:
                     raise TransformerError(f"layer {k} {piece} has width {size}; expected {width}")
-        if output is not None and len(output.weights) != width:
-            raise TransformerError(f"output weights have {len(output.weights)} entries; expected {width}")
         for pe, offset in self.position_embeddings:
             if offset < 0 or offset + pe.dim > width:
                 raise TransformerError("position embedding slice out of range")
+        self._eval_cache = None  # built by the first evaluation, see `_cache_for`
+
+    def __getstate__(self):
+        return {**self.__dict__, "_eval_cache": None}
 
     @property
     def depth(self) -> int:
@@ -361,79 +385,243 @@ class ActivationTrace:
         return self.layers[layer - 1].out_state
 
 
+# ---------------------------------------------------------------------------
+# Evaluation over interned states
+
+
+def _cache_for(model: Transformer) -> "_EvalCache":
+    """The model's evaluation cache, built on first use.
+
+    It is kept on the model when every position embedding is finite-image
+    with rational values; otherwise each call gets a fresh one.
+    """
+    cache = model._eval_cache
+    if cache is None:
+        cache = _EvalCache(model)
+        if all(
+            pe.finite_image and all(exact.is_rational(v) for vec in pe.image() for v in vec)
+            for pe, _ in model.position_embeddings
+        ):
+            model._eval_cache = cache
+    return cache
+
+
+class _Level:
+    """The distinct activation vectors met at one level, numbered as met."""
+
+    __slots__ = ("ids", "states", "shared")
+
+    def __init__(self, shared: dict):
+        self.ids: dict = {}  # state tuple -> id
+        self.states: list = []  # id -> state tuple
+        self.shared = shared
+
+    def intern(self, vec) -> int:
+        vec = _share(self.shared, vec)
+        sid = self.ids.get(vec)
+        if sid is None:
+            sid = self.ids[vec] = len(self.states)
+            self.states.append(vec)
+        return sid
+
+
+def _share(shared: dict, vec) -> tuple:
+    """`vec` as a tuple, the same object for every equal vector."""
+    vec = tuple(vec)
+    return shared.setdefault(vec, vec)
+
+
+class _HeadCache:
+    __slots__ = ("query_of", "query_ids", "queries", "scores", "ranks", "values")
+
+    def __init__(self):
+        self.query_of: dict = {}  # state id -> query id
+        self.query_ids: dict = {}  # sorted query items -> query id
+        self.queries: list = []  # query id -> sparse query {col: value}
+        self.scores: list = []  # query id -> {key state id: score}
+        self.ranks: list = []  # query id -> {key state id: rank of its score}
+        self.values: dict = {}  # state id -> value vector
+
+
+class _EvalCache:
+    """Interned states and memoized sublayer results of one model.
+
+    `levels[0]` holds embeddings and `levels[l]` layer l's outputs. Per
+    layer, `steps` maps (own state id, per head the attended state id or
+    None) to (att_state, ffn_state, output state id), and each head caches
+    its query and value by state id and its score by (query id, key state
+    id), together with each score's rank among the scores of its query, so
+    that a string's argmax needs no comparison once the ranks are known.
+    `verdicts` maps final state ids to the output rule's answer.
+    """
+
+    def __init__(self, model: "Transformer"):
+        self.shared: dict = {}
+        self.levels = [_Level(self.shared) for _ in range(model.depth + 1)]
+        self.heads = [[_HeadCache() for _ in layer.heads] for layer in model.layers]
+        self.steps = [{} for _ in model.layers]
+        self.verdicts: dict = {}
+
+    def evaluate(self, model: "Transformer", tokens) -> tuple:
+        """State ids of the embeddings, and per layer (choices, step results)."""
+        n = len(tokens)
+        if n == 0:
+            raise TransformerError("empty input string")
+        ids0 = [self.levels[0].intern(v) for v in model.embed(tokens)]
+        ids = ids0
+        layers = []
+        rows = {}  # mask -> per query position, the bitmask of unmasked positions
+        for k, layer in enumerate(model.layers):
+            level, nxt, steps = self.levels[k], self.levels[k + 1], self.steps[k]
+            at = {}  # state id -> bitmask of the positions holding it
+            for j, sid in enumerate(ids):
+                at[sid] = at.get(sid, 0) | 1 << j
+            choices = []
+            for head, hc in zip(layer.heads, self.heads[k]):
+                if head.mask not in rows:
+                    rows[head.mask] = [head.mask.row(i, n) for i in range(1, n + 1)]
+                choices.append(self._choose(head, hc, level, ids, at, rows[head.mask]))
+            attended = [[None if j is None else ids[j - 1] for j in c] for c in choices]
+            results = []
+            for key in zip(ids, zip(*attended)):
+                hit = steps.get(key)
+                if hit is None:
+                    hit = steps[key] = self._step(layer, self.heads[k], level, nxt, key)
+                results.append(hit)
+            layers.append((choices, results))
+            ids = [r[2] for r in results]
+        return ids0, layers
+
+    def _choose(self, head, hc: _HeadCache, level: _Level, ids: list, at: dict, rows: list) -> list:
+        """Per query position, the attended position (1-based) or None."""
+        ranked = {}  # query id -> position bitmasks, one per distinct score, best first
+        leftmost = head.tiebreak == LEFTMOST
+        out = []
+        for sid, row in zip(ids, rows):
+            if not row:
+                out.append(None)
+                continue
+            q = hc.query_of.get(sid)
+            if q is None:
+                q = self._query_id(head, hc, level, sid)
+            groups = ranked.get(q)
+            if groups is None:
+                groups = ranked[q] = self._rank(head, hc, level, q, at)
+            for group in groups:
+                best = group & row  # the argmax set among unmasked positions
+                if best:
+                    break
+            out.append((best & -best).bit_length() if leftmost else best.bit_length())
+        return out
+
+    @staticmethod
+    def _query_id(head, hc: _HeadCache, level: _Level, sid: int) -> int:
+        query = head.query(level.states[sid])
+        key = tuple(sorted(query.items()))
+        q = hc.query_ids.get(key)
+        if q is None:
+            q = hc.query_ids[key] = len(hc.queries)
+            hc.queries.append(query)
+            hc.scores.append({})
+            hc.ranks.append({})
+        hc.query_of[sid] = q
+        return q
+
+    @staticmethod
+    def _rank(head, hc: _HeadCache, level: _Level, q: int, at: dict) -> list:
+        """Positions grouped by equal score, in decreasing score order."""
+        ranks = hc.ranks[q]
+        if not at.keys() <= ranks.keys():
+            query, scores = hc.queries[q], hc.scores[q]
+            for sid in at:
+                if sid not in scores:
+                    scores[sid] = head.score_from_query(query, level.states[sid])
+            ranks = hc.ranks[q] = _ranks(scores)
+        by_rank = {}
+        for sid, positions in at.items():
+            r = ranks[sid]
+            by_rank[r] = by_rank.get(r, 0) | positions
+        return [by_rank[r] for r in sorted(by_rank, reverse=True)]
+
+    def _step(self, layer, heads: list, level: _Level, nxt: _Level, key: tuple) -> tuple:
+        """Attention sum, FFN and layer norms for one (state, attended states) key."""
+        sid, chosen = key
+        delta = [0] * len(level.states[sid])
+        for head, hc, c in zip(layer.heads, heads, chosen):
+            if c is None:
+                continue
+            value = hc.values.get(c)
+            if value is None:
+                value = hc.values[c] = _share(self.shared, head.value(level.states[c]))
+            for k, v in enumerate(value):
+                if v != 0:
+                    delta[k] = delta[k] + v
+        att = [a + b for a, b in zip(level.states[sid], delta)]
+        mid = att if layer.ln_att is None else layer.ln_att.apply(att)
+        ffn = [a + b for a, b in zip(mid, layer.ffn.apply(mid))]
+        out = ffn if layer.ln_ffn is None else layer.ln_ffn.apply(ffn)
+        return _share(self.shared, att), _share(self.shared, ffn), nxt.intern(out)
+
+    def verdict(self, model: "Transformer", sid: int) -> bool:
+        hit = self.verdicts.get(sid)
+        if hit is None:
+            hit = self.verdicts[sid] = _output_rule(model, self.levels[-1].states[sid])
+        return hit
+
+
+def _ranks(scores: dict) -> dict:
+    """Key -> an int that orders the keys' scores: equal ints for equal scores."""
+    order = sorted(scores.items(), key=functools.cmp_to_key(lambda a, b: exact.compare(a[1], b[1])))
+    ranks = {}
+    rank = 0
+    for k, (key, score) in enumerate(order):
+        if k and exact.compare(score, order[k - 1][1]) != 0:
+            rank += 1
+        ranks[key] = rank
+    return ranks
+
+
 def run_transformer(model: Transformer, input_text) -> ActivationTrace:
     tokens = model.alphabet.tokenize(input_text)
-    n = len(tokens)
-    if n == 0:
-        raise TransformerError("empty input string")
-    states = model.embed(tokens)
-    emb0 = [list(v) for v in states]
+    cache = _cache_for(model)
+    ids0, layers = cache.evaluate(model, tokens)
+    level0 = cache.levels[0].states
     trace_layers = []
-    for layer in model.layers:
-        head_choices = []
-        deltas = [[0] * model.width for _ in range(n)]
-        for head in layer.heads:
-            values = [head.value(states[j - 1]) for j in range(1, n + 1)]
-            choices = []
-            for i in range(1, n + 1):
-                row = head.mask.row(i, n)
-                if not row:
-                    choices.append(None)
-                    continue
-                q = head.query(states[i - 1])
-                best = None
-                best_score = None
-                for j in range(1, n + 1):
-                    if not row >> (j - 1) & 1:
-                        continue
-                    s = head.score_from_query(q, states[j - 1])
-                    if best is None:
-                        best, best_score = [j], s
-                        continue
-                    cmp = exact.compare(s, best_score)
-                    if cmp > 0:
-                        best, best_score = [j], s
-                    elif cmp == 0:
-                        best.append(j)
-                j_i = best[0] if head.tiebreak == LEFTMOST else best[-1]
-                choices.append(j_i)
-                dv = values[j_i - 1]
-                delta = deltas[i - 1]
-                for k, v in enumerate(dv):
-                    if v != 0:
-                        delta[k] = delta[k] + v
-            head_choices.append(choices)
-        att_state = [
-            [a + b for a, b in zip(states[k], deltas[k])] for k in range(n)
-        ]
-        mid = att_state
-        if layer.ln_att is not None:
-            mid = [layer.ln_att.apply(v) for v in att_state]
-        ffn_state = [
-            [a + b for a, b in zip(v, layer.ffn.apply(v))] for v in mid
-        ]
-        out_state = ffn_state
-        if layer.ln_ffn is not None:
-            out_state = [layer.ln_ffn.apply(v) for v in ffn_state]
-        trace_layers.append(LayerActivations(head_choices, att_state, ffn_state, out_state))
-        states = out_state
-    return ActivationTrace(tokens, emb0, trace_layers)
+    for (choices, results), level in zip(layers, cache.levels[1:]):
+        trace_layers.append(
+            LayerActivations(
+                choices,
+                [list(att) for att, _, _ in results],
+                [list(ffn) for _, ffn, _ in results],
+                [list(level.states[sid]) for _, _, sid in results],
+            )
+        )
+    return ActivationTrace(tokens, [list(level0[sid]) for sid in ids0], trace_layers)
 
 
-def trace_accepts(model: Transformer, trace: ActivationTrace) -> bool:
-    """The output rule: the output projection at the last position is nonnegative."""
+def _output_rule(model: Transformer, last) -> bool:
+    """The output projection of the last position's activation is nonnegative."""
     if model.output is None:
         raise TransformerError("transformer has no output layer")
     acc = model.output.bias
-    for w, v in zip(model.output.weights, trace.final[-1]):
+    for w, v in zip(model.output.weights, last):
         if w != 0:
             acc = acc + w * v
     return exact.sign(acc) >= 0
 
 
+def trace_accepts(model: Transformer, trace: ActivationTrace) -> bool:
+    """The output rule applied to a trace's last position."""
+    return _output_rule(model, trace.final[-1])
+
+
 def accepts_transformer(model: Transformer, input_text) -> bool:
     """True iff the output projection at the last position is nonnegative."""
-    return trace_accepts(model, run_transformer(model, input_text))
+    tokens = model.alphabet.tokenize(input_text)
+    cache = _cache_for(model)
+    ids0, layers = cache.evaluate(model, tokens)
+    final = layers[-1][1][-1][2] if layers else ids0[-1]
+    return cache.verdict(model, final)
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,37 @@ def test_diff_with_jobs(dyck_path, capsys):
     assert code == 0 and "0 mismatches" in out
 
 
+def test_diff_jobs_split_gives_the_single_process_report(capsys):
+    reports = {}
+    for jobs in (1, 2, 3):
+        for fmt in ("text", "json-lines"):
+            code = main(["diff", "corpus:phi1", "corpus:phi2", "--bound", "4",
+                         "--format", fmt, "--jobs", str(jobs)])
+            assert code == 1
+            reports[jobs, fmt] = capsys.readouterr().out
+    lines = [json.loads(line) for line in reports[1, "json-lines"].splitlines()]
+    assert lines[-1]["checked"] == 3 + 9 + 27 + 81 and lines[-1]["mismatches"] > 1
+    strings = [entry["string"] for entry in lines[:-1]]
+    order = corpus.PHI_ALPHABET.symbols
+    assert strings == sorted(strings, key=lambda w: (len(w), [order.index(c) for c in w]))
+    for (jobs, fmt), out in reports.items():
+        assert out == reports[1, fmt], (jobs, fmt)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_diff_jobs_below_one_is_an_error(jobs, capsys):
+    code = main(["diff", "corpus:phi1", "corpus:phi2", "--bound", "2", "--jobs", jobs])
+    assert code == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_diff_bound_below_one_is_an_error_with_any_jobs(jobs, capsys):
+    code = main(["diff", "corpus:phi1", "corpus:phi2", "--bound", "0", "--jobs", jobs])
+    assert code == 2
+    assert "bound must be at least 1" in capsys.readouterr().err
+
+
 def test_stutter_check(capsys):
     assert main(["stutter-check", "corpus:apbp_star", "--bound", "6"]) == 0
     capsys.readouterr()

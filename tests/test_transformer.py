@@ -85,6 +85,31 @@ def test_ffn_and_gadget():
     assert ffn.apply([F(0), F(0)]) == [F(0), F(0)]
 
 
+def test_relu_keeps_rationals_as_ints():
+    for x in (F(-3, 2), F(0), -2, 0):
+        assert exact.relu(x) == 0 and type(exact.relu(x)) is int
+    assert exact.relu(F(5, 2)) == F(5, 2) and exact.relu(3) == 3
+    # bool goes through the isinstance fallback, as before
+    assert exact.sign(True) == 1 and exact.compare(False, 0) == 0
+
+
+def test_model_structure_is_frozen_after_evaluation():
+    model = Transformer(2, AB, _one_hot_embedding(), [identity_layer(2)], OutputLayer((F(0), F(1)), F(0)))
+    assert accepts_transformer(model, "ab") is True
+    with pytest.raises(AttributeError):
+        model.layers.append(identity_layer(2))
+    with pytest.raises(AttributeError):
+        model.layers[0].heads.append(_copy_head(MaskKind.NONE, LEFTMOST))
+    assert isinstance(model.layers, tuple) and isinstance(model.layers[0].heads, tuple)
+
+
+def test_output_weights_are_normalized():
+    model = Transformer(2, AB, _one_hot_embedding(), [], OutputLayer([F(0, 1), F(3, 2)], F(0)))
+    assert model.output.weights == (0, F(3, 2)) and type(model.output.weights[0]) is int
+    with pytest.raises(TransformerError, match="output weights has 1 entries; expected 2"):
+        Transformer(2, AB, _one_hot_embedding(), [], OutputLayer((F(1),), F(0)))
+
+
 def test_accepts_constant_half():
     model = Transformer(
         2, AB, _one_hot_embedding(), [], OutputLayer((F(0), F(0)), F(1, 2))

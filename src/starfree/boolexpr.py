@@ -6,9 +6,9 @@ decompiler. An atom is tagged with the position variable it reads: "i" is
 the position being defined, "j" is the attended position. Position-wise
 bodies and defaults may only use "i" atoms.
 
-Evaluation works on bitmask rows: a vector over positions 1..n is an int
-whose bit p-1 holds the value at position p. All connectives are then plain
-bitwise operations, which keeps exhaustive differential testing fast.
+The program interpreter (`brasp.eval`) evaluates these trees on bitmask
+rows: a vector over positions 1..n is an int whose bit p-1 holds the value
+at position p, so every connective is a plain bitwise operation.
 """
 
 from __future__ import annotations
@@ -157,35 +157,6 @@ def substitute(expr: Expr, mapping: dict) -> Expr:
     if isinstance(expr, And):
         return conj(substitute(a, mapping) for a in expr.args)
     return disj(substitute(a, mapping) for a in expr.args)
-
-
-def eval_mask(expr: Expr, env: dict, full: int) -> int:
-    """Evaluate to a bitmask row under `env`: {(kind, key, pos): row int}.
-
-    `env` maps ("var", name, pos) and ("pred", family, pos) to int rows;
-    `full` is the all-positions mask (2**n - 1).
-    """
-    if isinstance(expr, Const):
-        return full if expr.value else 0
-    if isinstance(expr, Var):
-        return env[("var", expr.name, expr.pos)]
-    if isinstance(expr, Pred):
-        return env[("pred", expr.family, expr.pos)]
-    if isinstance(expr, Not):
-        return full ^ eval_mask(expr.arg, env, full)
-    if isinstance(expr, And):
-        out = full
-        for a in expr.args:
-            out &= eval_mask(a, env, full)
-            if not out:
-                return 0
-        return out
-    out = 0
-    for a in expr.args:
-        out |= eval_mask(a, env, full)
-        if out == full:
-            return full
-    return out
 
 
 def eval_bool(expr: Expr, lookup) -> bool:

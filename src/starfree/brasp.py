@@ -11,6 +11,17 @@ vector per output symbol at every position.
 
 Inputs must be non-empty: the accept/reject decision lives at a designated
 position, which an empty string does not have.
+
+The interpreter works from a plan that it builds on a program's first
+evaluation and keeps on the program instance. The plan gives every vector
+and predicate family a slot in one flat list of bitmask rows and compiles
+every expression once, to closures. For each attention operation it records
+the atoms that the score and value read at i; query positions that agree on
+them share one score row and one value row, so attention costs one
+evaluation per group of positions plus a mask-and-pick per position. A plan
+is never built at parse or construction time, does not take part in `==` or
+`hash`, and is dropped on pickling. Predicate-family rows are computed on
+every call, because `preds` may bind different families from call to call.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import boolexpr as bx
-from .boolexpr import Const, Expr, Pred, Var
+from .boolexpr import And, Const, Expr, Not, Pred, Var
 
 
 class BraspError(Exception):
@@ -155,6 +166,11 @@ class BraspProgram:
     @property
     def vector_names(self) -> list:
         return self.initial_names + [op.name for op in self.ops]
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_plan", None)  # rebuilt on the first evaluation after loading
+        return state
 
     def op(self, name: str) -> BraspOp:
         for op in self.ops:
@@ -498,90 +514,160 @@ def eval(prog: BraspProgram, input_text, preds=None) -> Trace:
     n = len(tokens)
     if n == 0:
         raise BraspError("empty input string")
+    plan = _plan_for(prog)
     full = (1 << n) - 1
-    rows: dict = {}
-    for sym in prog.alphabet.symbols:
-        r = 0
-        for p, t in enumerate(tokens):
-            if t == sym:
-                r |= 1 << p
-        rows[qname(sym)] = r
-
-    pred_rows = {}
-    for fam, family in resolve_families(prog, preds).items():
-        r = 0
-        for i in range(1, n + 1):
-            if family(n, i):
-                r |= 1 << (i - 1)
-        pred_rows[fam] = r
-
-    def env_for(i_bits_from: dict) -> dict:
-        env = {}
-        for name, r in rows.items():
-            env[("var", name, "j")] = r
-        for fam, r in pred_rows.items():
-            env[("pred", fam, "j")] = r
-        for key, r in i_bits_from.items():
-            env[key] = r
-        return env
-
-    base_env = {}
-    for name, r in list(rows.items()):
-        base_env[("var", name, "i")] = r
-    for fam, r in pred_rows.items():
-        base_env[("pred", fam, "i")] = r
-
-    for op in prog.ops:
-        body = op.body
-        if isinstance(body, Positionwise):
-            row = bx.eval_mask(body.expr, base_env, full)
-        else:
-            row = _eval_attention(body, rows, pred_rows, base_env, n, full)
-        rows[op.name] = row
-        base_env[("var", op.name, "i")] = row
-
-    return Trace(tokens, prog.vector_names, dict(rows), n)
+    rows = [0] * plan.slots
+    for p, t in enumerate(tokens):
+        rows[plan.symbol_slot[t]] |= 1 << p
+    if plan.pred_slot:
+        for fam, family in resolve_families(prog, preds).items():
+            r = 0
+            for i in range(1, n + 1):
+                if family(n, i):
+                    r |= 1 << (i - 1)
+            rows[plan.pred_slot[fam]] = r
+    mask_rows: dict = {}
+    for slot, step in plan.steps:
+        rows[slot] = step(rows, n, full, mask_rows)
+    return Trace(tokens, list(plan.names), dict(zip(plan.names, rows)), n)
 
 
-def _eval_attention(body: Attention, rows, pred_rows, base_env, n: int, full: int) -> int:
-    j_env = {}
-    for name, r in rows.items():
-        j_env[("var", name, "j")] = r
-    for fam, r in pred_rows.items():
-        j_env[("pred", fam, "j")] = r
+def _plan_for(prog: BraspProgram) -> "_Plan":
+    """The program's evaluation plan, built on its first evaluation."""
+    plan = prog.__dict__.get("_plan")
+    if plan is None:
+        plan = _Plan(prog)
+        object.__setattr__(prog, "_plan", plan)
+    return plan
 
-    score_has_i = bx.has_pos(body.score, "i")
-    value_has_i = bx.has_pos(body.value, "i")
-    default_row = bx.eval_mask(body.default, base_env, full)
-    if not score_has_i:
-        score_row_shared = bx.eval_mask(body.score, j_env, full)
-    if not value_has_i:
-        value_row_shared = bx.eval_mask(body.value, j_env, full)
 
-    out = 0
-    for i in range(1, n + 1):
-        if score_has_i or value_has_i:
-            env = dict(j_env)
-            ibit = 1 << (i - 1)
-            for key, r in base_env.items():
-                kind, name, _pos = key
-                env[(kind, name, "i")] = full if (r & ibit) else 0
-        if score_has_i:
-            score_row = bx.eval_mask(body.score, env, full)
-        else:
-            score_row = score_row_shared
-        cand = score_row & body.mask.row(i, n)
-        if cand:
-            j = (cand & -cand).bit_length() if body.direction == LEFTMOST else cand.bit_length()
-            if value_has_i:
-                value_row = bx.eval_mask(body.value, env, full)
+class _Plan:
+    """What evaluation needs of a program, worked out once.
+
+    Every vector and predicate family gets a slot in one flat list of
+    bitmask rows: first the vectors in `names` order, then the families,
+    then one scratch slot per i-atom of each attention operation.
+    `steps` pairs each operation's slot with a callable
+    (rows, n, full, mask_rows) -> row, its expressions compiled to closures.
+    """
+
+    __slots__ = ("names", "slots", "symbol_slot", "pred_slot", "steps")
+
+    def __init__(self, prog: BraspProgram):
+        self.names = tuple(prog.vector_names)
+        slot = {name: k for k, name in enumerate(self.names)}
+        self.symbol_slot = {sym: slot[qname(sym)] for sym in prog.alphabet.symbols}
+        self.pred_slot = {fam: len(self.names) + k for k, fam in enumerate(prog.predicate_families)}
+        self.slots = len(self.names) + len(self.pred_slot)
+
+        def row_of(atom) -> int:
+            return slot[atom.name] if isinstance(atom, Var) else self.pred_slot[atom.family]
+
+        self.steps = []
+        for op in prog.ops:
+            body = op.body
+            if isinstance(body, Positionwise):
+                fn = _compile(body.expr, row_of)
+                step = lambda rows, n, full, mask_rows, fn=fn: fn(rows, full)
             else:
-                value_row = value_row_shared
-            bit = (value_row >> (j - 1)) & 1
-        else:
-            bit = (default_row >> (i - 1)) & 1
-        out |= bit << (i - 1)
-    return out
+                step = _AttentionStep(body, row_of, self.slots)
+                self.slots += len(step.i_slots)
+            self.steps.append((slot[op.name], step))
+
+
+def _compile(expr: Expr, row_of):
+    """`expr` as a closure (rows, full) -> row; an atom reads rows[row_of(atom)]."""
+    if isinstance(expr, Const):
+        return (lambda r, full: full) if expr.value else (lambda r, full: 0)
+    if isinstance(expr, (Var, Pred)):
+        s = row_of(expr)
+        return lambda r, full: r[s]
+    if isinstance(expr, Not):
+        if isinstance(expr.arg, (Var, Pred)):
+            s = row_of(expr.arg)
+            return lambda r, full: full ^ r[s]
+        arg = _compile(expr.arg, row_of)
+        return lambda r, full: full ^ arg(r, full)
+    # Atom arguments are read in place; only compound ones cost a call.
+    slots = tuple(row_of(a) for a in expr.args if isinstance(a, (Var, Pred)))
+    rest = tuple(_compile(a, row_of) for a in expr.args if not isinstance(a, (Var, Pred)))
+    if isinstance(expr, And):
+        def conj(r, full):
+            out = full
+            for s in slots:
+                out &= r[s]
+            for a in rest:
+                out &= a(r, full)
+            return out
+        return conj
+
+    def disj(r, full):
+        out = 0
+        for s in slots:
+            out |= r[s]
+        for a in rest:
+            out |= a(r, full)
+        return out
+    return disj
+
+
+class _AttentionStep:
+    """One attention operation, evaluated once per group of query positions.
+
+    The distinct atoms that the score and value read at i each get a scratch
+    slot. Query positions that agree on all of them see the same score and
+    value rows, so those rows are evaluated once per group, with each
+    scratch slot set to the group's constant row (all ones or zero): at most
+    min(n, 2^k) groups for k such atoms. Only masking and picking the
+    leftmost or rightmost candidate is done per position.
+    """
+
+    __slots__ = ("leftmost", "mask", "i_slots", "score", "value", "default")
+
+    def __init__(self, body: Attention, row_of, first_scratch: int):
+        i_atoms = list(dict.fromkeys(
+            a for e in (body.score, body.value) for a in bx.atoms(e) if a.pos == "i"
+        ))
+        scratch = {a: first_scratch + k for k, a in enumerate(i_atoms)}
+
+        def read(atom) -> int:
+            return scratch[atom] if atom.pos == "i" else row_of(atom)
+
+        self.leftmost = body.direction == LEFTMOST
+        self.mask = body.mask
+        self.i_slots = tuple((row_of(a), scratch[a]) for a in i_atoms)  # (row, scratch slot)
+        self.score = _compile(body.score, read)
+        self.value = _compile(body.value, read)
+        self.default = _compile(body.default, row_of)
+
+    def __call__(self, rows: list, n: int, full: int, mask_rows: dict) -> int:
+        masks = mask_rows.get(self.mask)
+        if masks is None:
+            masks = mask_rows[self.mask] = [self.mask.row(i, n) for i in range(1, n + 1)]
+        groups = [(full, ())]  # (positions, the scratch rows there)
+        for s, _ in self.i_slots:
+            r = rows[s]
+            groups = [
+                part
+                for g, c in groups
+                for part in ((g & r, c + (full,)), (g & ~r, c + (0,)))
+                if part[0]
+            ]
+        hits = empty = 0
+        for g, c in groups:
+            for (_, t), v in zip(self.i_slots, c):
+                rows[t] = v
+            score = self.score(rows, full)
+            value = self.value(rows, full)
+            while g:
+                low = g & -g
+                g ^= low
+                cand = score & masks[low.bit_length() - 1]
+                if not cand:
+                    empty |= low
+                elif value & (cand & -cand if self.leftmost else 1 << (cand.bit_length() - 1)):
+                    hits |= low
+        return hits | (empty & self.default(rows, full))
 
 
 def accepts(prog: BraspProgram, input_text, preds=None) -> bool:

@@ -7,12 +7,22 @@ psi held at some j < i and phi held everywhere strictly between; `until` is
 the mirror image. The primed variants allow j = i and extend the interior
 requirement up to the current position.
 
+Evaluation flattens a formula DAG once, on its first evaluation, into a
+postorder list of steps, one slot per distinct node, plus the list of its
+predicate families. The plan is kept in a weak-keyed table, so it neither
+keeps a formula alive nor travels with it when pickled. Each call computes
+the predicate rows afresh and then one bitmask row per step; `since` and
+`until` are one linear scan each (the non-strict operator holds at k when
+its right side holds at k, or its left side holds at k and it held at the
+neighbour; the strict one is the non-strict one read one position late).
+
 Translations to and from Boolean-vector programs live here as well, in both
 the strict and non-strict dialects.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -171,68 +181,73 @@ def is_strict_only(f: Formula) -> bool:
 # Semantics
 
 
-def _rows(f: Formula, ctx: dict, memo: dict) -> int:
-    hit = memo.get(id(f))
-    if hit is not None:
-        return hit
-    n, full = ctx["n"], ctx["full"]
-    if isinstance(f, Lit):
-        row = full if f.value else 0
-    elif isinstance(f, Atom):
-        row = ctx["symbol_rows"].get(f.symbol, 0)
-    elif isinstance(f, PredAtom):
-        row = ctx["pred_rows"][f.family]
-    elif isinstance(f, NotF):
-        row = full ^ _rows(f.arg, ctx, memo)
-    elif isinstance(f, AndF):
-        row = full
-        for a in f.args:
-            row &= _rows(a, ctx, memo)
-    elif isinstance(f, OrF):
-        row = 0
-        for a in f.args:
-            row |= _rows(a, ctx, memo)
-    elif isinstance(f, Since):
-        r1 = _rows(f.lhs, ctx, memo)
-        r2 = _rows(f.rhs, ctx, memo)
-        row = 0
-        for i in range(1, n + 1):
-            j = i if not f.strict else i - 1
-            while j >= 1:
-                if r2 >> (j - 1) & 1:
-                    row |= 1 << (i - 1)
-                    break
-                if not (r1 >> (j - 1) & 1):
-                    break
-                j -= 1
-    elif isinstance(f, Until):
-        r1 = _rows(f.lhs, ctx, memo)
-        r2 = _rows(f.rhs, ctx, memo)
-        row = 0
-        for i in range(1, n + 1):
-            j = i if not f.strict else i + 1
-            while j <= n:
-                if r2 >> (j - 1) & 1:
-                    row |= 1 << (i - 1)
-                    break
-                if not (r1 >> (j - 1) & 1):
-                    break
-                j += 1
-    else:
-        raise LtlError(f"unknown formula node {f!r}")
-    memo[id(f)] = row
-    return row
+_PLANS = weakref.WeakKeyDictionary()  # formula -> its _FormulaPlan
+_LIT, _ATOM, _PRED, _NOT, _AND, _OR, _SINCE, _UNTIL = range(8)  # step kinds
 
 
-def _context(f: Formula, tokens: list, preds=None) -> dict:
+class _FormulaPlan:
+    """A formula DAG flattened once into postorder steps.
+
+    Step k computes row k from earlier rows: (kind, a, b), where a and b are
+    a symbol, a family name, a truth value or earlier slots, by kind. The
+    last step is the formula itself. `families` lists its predicate
+    families, whose rows are computed per call.
+    """
+
+    __slots__ = ("steps", "families")
+
+    def __init__(self, f: Formula):
+        slot: dict = {}  # id(node) -> slot
+        self.steps: list = []
+        self.families: list = []
+
+        def visit(g) -> int:
+            hit = slot.get(id(g))
+            if hit is not None:
+                return hit
+            if isinstance(g, Lit):
+                step = (_LIT, g.value, None)
+            elif isinstance(g, Atom):
+                step = (_ATOM, g.symbol, None)
+            elif isinstance(g, PredAtom):
+                if g.family not in self.families:
+                    self.families.append(g.family)
+                step = (_PRED, g.family, None)
+            elif isinstance(g, NotF):
+                step = (_NOT, visit(g.arg), None)
+            elif isinstance(g, (AndF, OrF)):
+                step = (_AND if isinstance(g, AndF) else _OR, tuple(visit(a) for a in g.args), None)
+            elif isinstance(g, (Since, Until)):
+                kind = _SINCE if isinstance(g, Since) else _UNTIL
+                step = (kind, (visit(g.lhs), visit(g.rhs)), g.strict)
+            else:
+                raise LtlError(f"unknown formula node {g!r}")
+            slot[id(g)] = len(self.steps)
+            self.steps.append(step)
+            return slot[id(g)]
+
+        visit(f)
+
+
+def _plan_for(f: Formula) -> _FormulaPlan:
+    plan = _PLANS.get(f)
+    if plan is None:
+        plan = _PLANS[f] = _FormulaPlan(f)
+    return plan
+
+
+def _row(f: Formula, tokens: list, preds=None) -> int:
+    """The formula's truth value at every position, as a bitmask row."""
     from . import predicates as predmod
 
+    plan = _plan_for(f)
     n = len(tokens)
+    full = (1 << n) - 1
     symbol_rows: dict = {}
     for p, t in enumerate(tokens):
         symbol_rows[t] = symbol_rows.get(t, 0) | (1 << p)
     pred_rows = {}
-    for fam in families_of(f):
+    for fam in plan.families:
         family = (preds or {}).get(fam) or predmod.lookup(fam)
         if family is None:
             raise LtlError(f"unbound predicate family {fam!r}")
@@ -241,7 +256,46 @@ def _context(f: Formula, tokens: list, preds=None) -> dict:
             if family(n, i):
                 row |= 1 << (i - 1)
         pred_rows[fam] = row
-    return {"n": n, "full": (1 << n) - 1, "symbol_rows": symbol_rows, "pred_rows": pred_rows}
+    bits = [1 << k for k in range(n)]
+    rows: list = []
+    for kind, a, b in plan.steps:
+        if kind == _ATOM:
+            row = symbol_rows.get(a, 0)
+        elif kind == _NOT:
+            row = full ^ rows[a]
+        elif kind == _AND:
+            row = full
+            for k in a:
+                row &= rows[k]
+        elif kind == _OR:
+            row = 0
+            for k in a:
+                row |= rows[k]
+        elif kind == _SINCE:
+            # non-strict: holds at k iff rhs holds at k, or lhs holds at k and it held at k - 1
+            row = _scan(rows[a[0]], rows[a[1]], bits)
+            if b:  # strict since at k is non-strict since at k - 1
+                row = (row << 1) & full
+        elif kind == _UNTIL:
+            row = _scan(rows[a[0]], rows[a[1]], reversed(bits))
+            if b:
+                row >>= 1
+        elif kind == _PRED:
+            row = pred_rows[a]
+        else:  # _LIT
+            row = full if a else 0
+        rows.append(row)
+    return rows[-1]
+
+
+def _scan(lhs: int, rhs: int, bits) -> int:
+    """Non-strict since (or until, on reversed bits): one pass along `bits`."""
+    row = hold = 0
+    for bit in bits:
+        hold = rhs & bit or (hold and lhs & bit)
+        if hold:
+            row |= bit
+    return row
 
 
 def _tokens(input_text, alphabet: Optional[Alphabet]) -> list:
@@ -259,8 +313,7 @@ def ltl_eval(f: Formula, input_text, i: int, preds=None, alphabet=None) -> bool:
         raise LtlError("empty input string")
     if not 1 <= i <= len(tokens):
         raise LtlError(f"position {i} out of range 1..{len(tokens)}")
-    ctx = _context(f, tokens, preds)
-    return bool(_rows(f, ctx, {}) >> (i - 1) & 1)
+    return bool(_row(f, tokens, preds) >> (i - 1) & 1)
 
 
 def ltl_accepts(f: Formula, input_text, preds=None, alphabet=None) -> bool:
@@ -268,8 +321,7 @@ def ltl_accepts(f: Formula, input_text, preds=None, alphabet=None) -> bool:
     tokens = _tokens(input_text, alphabet)
     if not tokens:
         raise LtlError("empty input string")
-    ctx = _context(f, tokens, preds)
-    return bool(_rows(f, ctx, {}) >> (len(tokens) - 1) & 1)
+    return bool(_row(f, tokens, preds) >> (len(tokens) - 1) & 1)
 
 
 def temporal_depth(f: Formula) -> int:

@@ -65,14 +65,15 @@ def strings_over(alphabet, max_len: int, min_len: int = 1):
             yield "".join(tup) if all(len(s) == 1 for s in symbols) else list(tup)
 
 
-def check_enumeration(symbols, bound: int) -> int:
-    """The number of strings of length 1..bound; a ValueError past the guard."""
+def check_enumeration(symbols, bound: int, extra: int = 0) -> int:
+    """The number of strings of length 1..bound, plus `extra` more that the
+    caller also evaluates; a ValueError past the guard."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    total = sum(len(symbols) ** n for n in range(1, bound + 1))
+    total = sum(len(symbols) ** n for n in range(1, bound + 1)) + extra
     if total > ENUMERATION_GUARD:
         raise ValueError(
-            f"enumeration of {total} strings exceeds guard {ENUMERATION_GUARD}"
+            f"enumeration of {total} strings exceeds ENUMERATION_GUARD ({ENUMERATION_GUARD})"
         )
     return total
 
@@ -108,11 +109,17 @@ def stutter_invariant_up_to(recognizer, alphabet, bound: int):
     """Check u a v in L iff u a a v in L for every |uav| <= bound.
 
     Returns (True, None) or (False, first witness in length-lex order).
-    Membership of each string is computed once and cached.
+    Membership of each string is computed once and cached. Besides every
+    string of length 1..bound, the check evaluates the doubled strings of
+    length bound + 1: those with two equal neighbouring symbols. Both count
+    against `ENUMERATION_GUARD`.
     """
     symbols = tuple(alphabet.symbols) if isinstance(alphabet, Alphabet) else tuple(alphabet)
     if any(len(s) != 1 for s in symbols):
         raise ValueError("stutter check expects single-character symbols")
+    k = len(symbols)
+    doubled = k ** (bound + 1) - k * (k - 1) ** bound if bound >= 1 else 0
+    check_enumeration(symbols, bound, doubled)
     cache: dict = {}
 
     def member(w: str) -> bool:

@@ -24,7 +24,9 @@ each level and computes each sublayer once per distinct input: a head's
 query and value once per state, its score once per (query, key state) pair,
 and the step from (state, the states each head attended to) through the
 value sum, layer norms and feed-forward net once per such pair. Only the
-argmax over positions is redone for every string. The cache is built on
+argmax over positions is redone for every string; a head with no score
+entries scores every position 0, so it picks straight from the mask. The
+cache is built on
 first use and kept on the model when every position embedding is
 finite-image with rational values; rationals have one representation per
 value, so the cache then holds at most the enumerated value set. Other
@@ -494,8 +496,12 @@ class _EvalCache:
 
     def _choose(self, head, hc: _HeadCache, level: _Level, ids: list, at: dict, rows: list) -> list:
         """Per query position, the attended position (1-based) or None."""
-        ranked = {}  # query id -> position bitmasks, one per distinct score, best first
         leftmost = head.tiebreak == LEFTMOST
+        if not head.score_sparse.entries:
+            # Every score is 0, so the argmax set is every unmasked position.
+            pick = (lambda row: (row & -row).bit_length()) if leftmost else int.bit_length
+            return [pick(row) if row else None for row in rows]
+        ranked = {}  # query id -> position bitmasks, one per distinct score, best first
         out = []
         for sid, row in zip(ids, rows):
             if not row:

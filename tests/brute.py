@@ -1,10 +1,10 @@
-"""Deliberately naive reference evaluators for programs and transformers.
+"""Deliberately naive reference evaluators for programs, formulas and transformers.
 
-Recomputes every vector value recursively from the definition, scanning all
-candidate positions one by one, with no bitmask tricks and no sharing with
-the production interpreter or the transformer runtime: the transformer
-evaluator reads only the model's weights. Slow on purpose; used only as a
-test oracle.
+Recomputes every vector value and every subformula recursively from the
+definition, scanning all candidate positions one by one, with no bitmask
+tricks and no sharing with the production interpreters or the transformer
+runtime: the transformer evaluator reads only the model's weights. Slow on
+purpose; used only as a test oracle.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from fractions import Fraction
 import sympy
 
 from starfree import boolexpr as bx
+from starfree import ltl
 from starfree import predicates as predmod
 from starfree.brasp import (
     Attention,
@@ -78,6 +79,44 @@ def brute_value(prog: BraspProgram, tokens, name: str, i: int, preds=None) -> bo
 def brute_accepts(prog: BraspProgram, w, preds=None) -> bool:
     tokens = prog.alphabet.tokenize(w)
     return brute_value(prog, tokens, prog.output.vector, len(tokens), preds)
+
+
+# ---------------------------------------------------------------------------
+# Formulas
+
+
+def brute_ltl_holds(f, tokens, i: int, preds=None) -> bool:
+    """Whether formula f holds at position i (1-based) of `tokens`.
+
+    phi S psi: psi holds at some j < i and phi at every k with j < k < i.
+    phi S' psi: psi holds at some j <= i and phi at every k with j < k <= i.
+    U and U' are the mirror images.
+    """
+    n = len(tokens)
+    preds = preds or {}
+
+    def holds(g, i: int) -> bool:
+        if isinstance(g, ltl.Lit):
+            return g.value
+        if isinstance(g, ltl.Atom):
+            return tokens[i - 1] == g.symbol
+        if isinstance(g, ltl.PredAtom):
+            return (preds.get(g.family) or predmod.lookup(g.family))(n, i)
+        if isinstance(g, ltl.NotF):
+            return not holds(g.arg, i)
+        if isinstance(g, ltl.AndF):
+            return all(holds(a, i) for a in g.args)
+        if isinstance(g, ltl.OrF):
+            return any(holds(a, i) for a in g.args)
+        if isinstance(g, ltl.Since):
+            witnesses = range(1, i) if g.strict else range(1, i + 1)
+            between = lambda j: range(j + 1, i) if g.strict else range(j + 1, i + 1)
+        else:
+            witnesses = range(i + 1, n + 1) if g.strict else range(i, n + 1)
+            between = lambda j: range(i + 1, j) if g.strict else range(i, j)
+        return any(holds(g.rhs, j) and all(holds(g.lhs, k) for k in between(j)) for j in witnesses)
+
+    return holds(f, i)
 
 
 # ---------------------------------------------------------------------------

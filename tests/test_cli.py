@@ -192,6 +192,22 @@ def test_stutter_check(capsys):
     assert "witness" in out
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_stutter_check_bound_below_one_is_an_error(bound, capsys):
+    assert main(["stutter-check", "corpus:apbp_star", "--bound", bound]) == 2
+    captured = capsys.readouterr()
+    assert "bound must be at least 1" in captured.err
+    assert "stutter-invariant" not in captured.out
+
+
+@pytest.mark.parametrize("bound", ["22", "26"])
+def test_stutter_check_past_the_enumeration_guard_is_an_error(bound, capsys):
+    # Bound 22 passes `diff` (8.4 million strings); the doubled strings of
+    # length 23 take the stutter check past the guard.
+    assert main(["stutter-check", "corpus:apbp_star", "--bound", bound]) == 2
+    assert "exceeds ENUMERATION_GUARD" in capsys.readouterr().err
+
+
 def test_corpus_list_and_show(capsys):
     assert main(["corpus", "list"]) == 0
     out = capsys.readouterr().out

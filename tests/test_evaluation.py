@@ -141,3 +141,20 @@ def test_interned_states_lie_in_the_enumerated_value_set():
     for ell, (level, values) in enumerate(zip(states, levels)):
         assert level.states, ell
         assert set(level.states) <= set(values.activations), ell
+
+
+def test_heads_with_no_score_entries_pick_from_the_mask_alone():
+    model = _compiled("dyck", "naive")
+    empty = [h for layer in model.layers for h in layer.heads if not h.score_sparse.entries]
+    assert len(empty) == 7  # compile_naive's feed-forward-only layers
+    calls = []
+
+    def forbidden(*args):
+        calls.append(args)
+        raise AssertionError("score computed for a head with no score entries")
+
+    for head in empty:  # the evaluator looks these up on the instance
+        head.query = head.score_from_query = forbidden
+    for w in testkit.strings_over(model.alphabet, 6):
+        _assert_same_trace(model, w)
+    assert calls == []

@@ -7,32 +7,7 @@ import pytest
 from starfree import brasp, corpus, ltl, normalform, testkit
 from starfree.brasp import Attention, MaskKind, Positionwise
 
-
-def _brute_eval(f, w, i):
-    """Reference semantics straight from the defining quantifiers."""
-    if isinstance(f, ltl.Lit):
-        return f.value
-    if isinstance(f, ltl.Atom):
-        return w[i - 1] == f.symbol
-    if isinstance(f, ltl.NotF):
-        return not _brute_eval(f.arg, w, i)
-    if isinstance(f, ltl.AndF):
-        return all(_brute_eval(a, w, i) for a in f.args)
-    if isinstance(f, ltl.OrF):
-        return any(_brute_eval(a, w, i) for a in f.args)
-    if isinstance(f, ltl.Since):
-        js = range(1, i) if f.strict else range(1, i + 1)
-        upper = lambda j: range(j + 1, i) if f.strict else range(j + 1, i + 1)
-        return any(
-            _brute_eval(f.rhs, w, j) and all(_brute_eval(f.lhs, w, k) for k in upper(j))
-            for j in js
-        )
-    js = range(i + 1, len(w) + 1) if f.strict else range(i, len(w) + 1)
-    lower = lambda j: range(i + 1, j) if f.strict else range(i, j)
-    return any(
-        _brute_eval(f.rhs, w, j) and all(_brute_eval(f.lhs, w, k) for k in lower(j))
-        for j in js
-    )
+from brute import brute_ltl_holds
 
 
 def test_phi1_at_last_position():
@@ -78,7 +53,7 @@ def test_eval_matches_brute_force_semantics():
             for tup in itertools.product("ab#", repeat=n):
                 w = "".join(tup)
                 for i in range(1, n + 1):
-                    assert ltl.ltl_eval(f, w, i) == _brute_eval(f, w, i), (w, i)
+                    assert ltl.ltl_eval(f, w, i) == brute_ltl_holds(f, w, i), (w, i)
 
 
 def test_formula_round_trip_through_text():

@@ -462,18 +462,45 @@ def dfa_to_json(dfa: Dfa) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _field(spec, key: str, kind: type, where: str):
+    """`spec[key]`, which must be a JSON value of type `kind`."""
+    if not isinstance(spec, dict):
+        raise AutomatonError(f"{where} must be a JSON object")
+    if key not in spec:
+        raise AutomatonError(f"{where}: missing field {key!r}")
+    value = spec[key]
+    if not isinstance(value, kind):
+        raise AutomatonError(f"{where}: field {key!r} must be a {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
+def _name(value, where: str):
+    """A state or symbol name: a JSON string or number, which can be hashed."""
+    if isinstance(value, (list, dict)):
+        raise AutomatonError(f"{where}: {json.dumps(value)} is not a state or symbol name")
+    return value
+
+
+def _names(values, where: str) -> tuple:
+    return tuple(_name(v, where) for v in values)
+
+
 def dfa_from_json(text: str) -> Dfa:
+    """Load a DFA file; a missing or ill-typed field raises AutomatonError naming it."""
     payload = json.loads(text)
-    alphabet = Alphabet(tuple(payload["alphabet"]))
+    alphabet = Alphabet(_names(_field(payload, "alphabet", list, "DFA"), "DFA alphabet"))
     delta = {}
-    for q, a, r in payload["transitions"]:
+    for t in _field(payload, "transitions", list, "DFA"):
+        if not isinstance(t, list) or len(t) != 3:
+            raise AutomatonError(f"DFA: transition {json.dumps(t)} is not a [state, symbol, state] triple")
+        q, a, r = _names(t, "DFA transition")
         delta[(q, a)] = r
     return Dfa(
         alphabet,
-        tuple(payload["states"]),
+        _names(_field(payload, "states", list, "DFA"), "DFA states"),
         delta,
-        payload["start"],
-        frozenset(payload["finals"]),
+        _name(_field(payload, "start", object, "DFA"), "DFA start"),
+        frozenset(_names(_field(payload, "finals", list, "DFA"), "DFA finals")),
     )
 
 
@@ -493,15 +520,25 @@ def cascade_to_json(cascade: Cascade) -> str:
 
 
 def cascade_from_json(text: str) -> Cascade:
+    """Load a cascade file; a missing or ill-typed field raises AutomatonError naming it."""
     payload = json.loads(text)
-    alphabet = Alphabet(tuple(payload["alphabet"]))
+    alphabet = Alphabet(_names(_field(payload, "alphabet", list, "cascade"), "cascade alphabet"))
     factors = []
-    for k, spec in enumerate(payload["factors"]):
+    for k, spec in enumerate(_field(payload, "factors", list, "cascade"), start=1):
+        where = f"cascade factor {k}"
         resets = {}
-        for r, syms in spec["resets"].items():
-            fixed = []
-            for s in syms:
-                fixed.append(tuple(s) if isinstance(s, list) else s)
-            resets[r] = tuple(fixed)
-        factors.append(IdentityResetAutomaton(tuple(spec["states"]), spec["start"], resets))
-    return Cascade(alphabet, tuple(factors), payload.get("homomorphism"))
+        for r, syms in _field(spec, "resets", dict, where).items():
+            if not isinstance(syms, list):
+                raise AutomatonError(f"{where}: resets of {r!r} must be a list")
+            resets[r] = tuple(_names(s, where) if isinstance(s, list) else _name(s, where) for s in syms)
+        factors.append(
+            IdentityResetAutomaton(
+                _names(_field(spec, "states", list, where), where),
+                _name(_field(spec, "start", object, where), where),
+                resets,
+            )
+        )
+    homomorphism = payload.get("homomorphism")
+    if homomorphism is not None and not isinstance(homomorphism, dict):
+        raise AutomatonError("cascade: field 'homomorphism' must be a dict")
+    return Cascade(alphabet, tuple(factors), homomorphism)

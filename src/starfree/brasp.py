@@ -56,8 +56,18 @@ class Alphabet:
         if len(set(self.symbols)) != len(self.symbols):
             raise BraspError("alphabet symbols must be distinct")
         for s in self.symbols:
-            if not s or any(c.isspace() for c in s):
+            if not isinstance(s, str) or not s or any(c.isspace() for c in s):
                 raise BraspError(f"bad alphabet symbol {s!r}")
+        # Derived from `symbols` for `tokenize`; left out of equality, hash and pickles.
+        object.__setattr__(self, "_known", frozenset(self.symbols))
+        object.__setattr__(self, "_by_character", all(len(s) == 1 for s in self.symbols))
+
+    def __getstate__(self):
+        return {"symbols": self.symbols}
+
+    def __setstate__(self, state):
+        object.__setattr__(self, "symbols", state["symbols"])
+        self.__post_init__()
 
     def index(self, symbol: str) -> int:
         return self.symbols.index(symbol)
@@ -68,14 +78,12 @@ class Alphabet:
         Single-character alphabets read character by character; otherwise
         the input must be whitespace-separated.
         """
-        if isinstance(text, (list, tuple)):
-            toks = list(text)
-        elif all(len(s) == 1 for s in self.symbols):
+        if isinstance(text, (list, tuple)) or self._by_character:
             toks = list(text)
         else:
             toks = text.split()
         for t in toks:
-            if t not in self.symbols:
+            if t not in self._known:
                 raise BraspError(f"symbol {t!r} not in alphabet {list(self.symbols)}")
         return toks
 
@@ -471,9 +479,6 @@ class Trace:
     def row_bits(self, name: str) -> list:
         r = self.rows[name]
         return [(r >> k) & 1 for k in range(self.n)]
-
-    def matrix(self) -> list:
-        return [self.row_bits(name) for name in self.vector_names]
 
     def format_table(self) -> str:
         width = max(len(n) for n in self.vector_names + ["input"])

@@ -62,16 +62,6 @@ def load_artifact(path: str):
     return kind, tf.transformer_from_json(text)
 
 
-def _artifact_alphabet(kind, art):
-    if kind == "brasp":
-        return art.alphabet
-    if kind in ("dfa", "transformer"):
-        return art.alphabet
-    if kind == "cascade":
-        return art.alphabet
-    return None
-
-
 def recognizer_spec(spec: str):
     """Build (name, alphabet or None, membership callable) from a CLI spec."""
     if spec.startswith("corpus:"):

@@ -49,7 +49,7 @@ from .brasp import (
 )
 from .exact import HALF, ONE, ZERO
 from .normalform import SCORE_ATOM_CAP
-from .predicates import family_tuple_pe, pe_bit_coding
+from .predicates import ScalarKey, bind_pe_as_predicates, family_tuple_pe, lookup_code, pe_bit_coding
 from .transformer import (
     AttentionHead,
     FeedForward,
@@ -57,8 +57,8 @@ from .transformer import (
     SparseMatrix,
     Transformer,
     TransformerLayer,
-    TransformerError,
     identity_layer,
+    output_rule,
     parallel_compose,
     widen,
 )
@@ -86,9 +86,6 @@ class ScoreDecomposition:
     query_atoms: tuple
     key_atoms: tuple
     conjuncts: tuple  # pairs (alpha expr over query atoms, beta expr over key atoms)
-
-    def recombined(self) -> Expr:
-        return bx.disj(bx.conj([a, b]) for a, b in self.conjuncts)
 
     def evaluate(self, assignment: Callable) -> bool:
         hits = [
@@ -590,16 +587,7 @@ def enumerate_value_set(model: Transformer) -> list:
             raise CompileError(
                 f"position embedding {pe.name!r} has no finite-image certificate"
             )
-    base = []
-    pe_images = [pe.image() for pe, _ in model.position_embeddings]
-    for sym in model.alphabet.symbols:
-        for combo in itertools.product(*pe_images):
-            vec = list(model.embedding[sym])
-            for (pe, off), pv in zip(model.position_embeddings, combo):
-                for k, v in enumerate(pv):
-                    vec[off + k] = vec[off + k] + v
-            base.append(tuple(vec))
-    levels = [LayerValueSet(_dedup(base), [], [])]
+    levels = [LayerValueSet(_dedup(vec for _sym, _combo, vec in model.embedding_image()), [], [])]
 
     for layer in model.layers:
         prev = levels[-1].activations
@@ -617,7 +605,7 @@ def enumerate_value_set(model: Transformer) -> list:
             for q in queries.values():
                 for v in prev:
                     svals.add(head.score_from_query(q, list(v)))
-            scores_per_head.append(sorted(svals, key=_scalar_key))
+            scores_per_head.append(sorted(svals, key=ScalarKey))
         total = len(prev)
         for opts in opts_per_head:
             total *= len(opts)
@@ -625,21 +613,9 @@ def enumerate_value_set(model: Transformer) -> list:
             raise CompileError(
                 f"value-set enumeration needs {total} candidates (cap {CANDIDATE_CAP})"
             )
-        outs = []
-        for x in prev:
-            for combo in itertools.product(*opts_per_head):
-                ct = list(x)
-                for o in combo:
-                    for k, v in enumerate(o):
-                        if v != 0:
-                            ct[k] = ct[k] + v
-                if layer.ln_att is not None:
-                    ct = layer.ln_att.apply(ct)
-                delta = layer.ffn.apply(ct)
-                y = [a + b for a, b in zip(ct, delta)]
-                if layer.ln_ffn is not None:
-                    y = layer.ln_ffn.apply(y)
-                outs.append(tuple(y))
+        outs = [
+            tuple(layer.step(x, combo)[2]) for x in prev for combo in itertools.product(*opts_per_head)
+        ]
         levels.append(LayerValueSet(_dedup(outs), scores_per_head, opts_per_head))
     return levels
 
@@ -652,12 +628,6 @@ def _dedup(items) -> list:
             seen.add(it)
             out.append(it)
     return out
-
-
-def _scalar_key(v):
-    from .predicates import ScalarKey
-
-    return ScalarKey(v)
 
 
 def finite_image_bound(model: Transformer, layer: int) -> int:
@@ -704,8 +674,6 @@ class _Decompiler:
     # -- encoding helpers
 
     def code(self, v) -> int:
-        from .predicates import lookup_code
-
         return lookup_code(self.codes, v)
 
     def coord_match(self, layer: int, coord: int, value, pos: str) -> Expr:
@@ -749,8 +717,6 @@ def decompile_with_predicates(model: Transformer, variant: str = "shallower"):
     for v in table:
         if not exact.is_rational(v):
             raise CompileError(f"non-rational value {v} cannot be bit-encoded")
-    from .predicates import ScalarKey, bind_pe_as_predicates, pe_bit_coding
-
     ordered = sorted(table, key=ScalarKey)
     codes = {v: k for k, v in enumerate(ordered)}
     bits = max(1, (len(ordered) - 1).bit_length())
@@ -770,14 +736,11 @@ def decompile_with_predicates(model: Transformer, variant: str = "shallower"):
         raise CompileError("transformer has no output layer to decompile")
     outsupp = [k for k, w in enumerate(model.output.weights) if w != 0]
     projs = _dedup([tuple(u[k] for k in outsupp) for u in levels[-1].activations])
-    branches = []
-    for p in projs:
-        acc = model.output.bias
-        for k, v in zip(outsupp, p):
-            acc = acc + model.output.weights[k] * v
-        if exact.sign(acc) >= 0:
-            branches.append(dec.proj_match(model.depth, outsupp, p, "i"))
-    yexpr = bx.disj(branches)
+    yexpr = bx.disj(
+        dec.proj_match(model.depth, outsupp, p, "i")
+        for p in projs
+        if output_rule(model, _spread(model.width, outsupp, p))
+    )
     name = dec.fresh("Y")
     dec.ops.append(BraspOp(name, Positionwise(yexpr)))
     prog = BraspProgram(
@@ -795,15 +758,7 @@ def decompile(model: Transformer, variant: str = "shallower") -> BraspProgram:
 
 def _decompile_embedding(dec: _Decompiler):
     model = dec.model
-    pe_images = [pe.image() for pe, _ in model.position_embeddings]
-    combos = []
-    for sym in model.alphabet.symbols:
-        for pvs in itertools.product(*pe_images):
-            vec = list(model.embedding[sym])
-            for (pe, off), pv in zip(model.position_embeddings, pvs):
-                for k, v in enumerate(pv):
-                    vec[off + k] = vec[off + k] + v
-            combos.append((sym, pvs, tuple(vec)))
+    combos = model.embedding_image()
 
     def combo_match(sym, pvs) -> Expr:
         terms = [Var(qname(sym), "i")]
@@ -835,34 +790,31 @@ def _head_tables(dec: _Decompiler, ell: int, head_idx: int):
     model = dec.model
     head = model.layers[ell - 1].heads[head_idx]
     prev = dec.levels[ell - 1].activations
-    score = head.score_sparse.entries
-    isupp = sorted({r for r, _c, _v in score})
-    jsupp = sorted({c for _r, c, _v in score})
+    isupp = sorted({r for r, _c, _v in head.score_sparse.entries})
+    jsupp = sorted({c for _r, c, _v in head.score_sparse.entries})
     vsupp = sorted({c for _r, c, _v in head.value_sparse.entries})
     iprojs = _dedup([tuple(u[k] for k in isupp) for u in prev])
     jprojs = _dedup([tuple(u[k] for k in jsupp) for u in prev])
     vprojs = _dedup([tuple(u[k] for k in vsupp) for u in prev])
     if len(iprojs) * len(jprojs) > PAIR_CAP:
         raise CompileError("score pair enumeration exceeds cap")
+    queries = {p: head.query(_spread(model.width, isupp, p)) for p in iprojs}
 
     def score_of(p, q):
-        acc = ZERO
-        pidx = {k: v for k, v in zip(isupp, p)}
-        qidx = {k: v for k, v in zip(jsupp, q)}
-        for r, c, w in score:
-            pr = pidx[r]
-            qc = qidx[c]
-            if pr != 0 and qc != 0:
-                acc = acc + w * pr * qc
-        return acc
+        return head.score_from_query(queries[p], _spread(model.width, jsupp, q))
 
     def value_of(q):
-        vec = [ZERO] * model.width
-        for k, v in zip(vsupp, q):
-            vec[k] = v
-        return tuple(head.value(vec))
+        return tuple(head.value(_spread(model.width, vsupp, q)))
 
     return head, isupp, jsupp, vsupp, iprojs, jprojs, vprojs, score_of, value_of
+
+
+def _spread(width: int, coords, values) -> list:
+    """A width-long vector holding `values` at `coords` and int zero elsewhere."""
+    vec = [0] * width
+    for k, v in zip(coords, values):
+        vec[k] = v
+    return vec
 
 
 def _value_bit_expr(dec, ell, jsupp_coords, projs, value_fn, coord, bit) -> Expr:
@@ -878,7 +830,6 @@ def _decompile_layer(dec: _Decompiler, ell: int):
     layer = model.layers[ell - 1]
     prev_acts = dec.levels[ell - 1].activations
     opts_per_head = dec.levels[ell].value_options
-    zero_vec = tuple([ZERO] * model.width)
 
     # Per head: expressions (or op references) for the bits of the head output.
     obit: dict = {}  # (head, coord, bit) -> Expr
@@ -893,7 +844,7 @@ def _decompile_layer(dec: _Decompiler, ell: int):
             else:
                 varying.append(c)
         pairs = [(p, q, score_of(p, q)) for p in iprojs for q in jprojs]
-        svals = sorted({s for _p, _q, s in pairs}, key=_scalar_key)
+        svals = sorted({s for _p, _q, s in pairs}, key=ScalarKey)
 
         if dec.variant == "shallower":
             none_ref = dec.emit_att(
@@ -988,7 +939,8 @@ def _decompile_layer(dec: _Decompiler, ell: int):
                         zbit,
                     )
 
-    # Position-wise combination: residual + head sums + feed-forward net.
+    # Position-wise combination: the layer's step on the coordinates that
+    # coordinate c depends on, every other coordinate held at zero.
     ffn = layer.ffn
     w1_rows = ffn.w1_sparse.by_row()
     w2_rows = ffn.w2_sparse.by_row()
@@ -1028,21 +980,10 @@ def _decompile_layer(dec: _Decompiler, ell: int):
 
         outcomes = []
         for xp in xprojs:
+            x = _spread(model.width, fsupp, xp)
             for combo in itertools.product(*opt_projs):
-                ct = {k: xv for k, xv in zip(fsupp, xp)}
-                for o in combo:
-                    for k, ov in zip(fsupp, o):
-                        if ov != 0:
-                            ct[k] = ct[k] + ov
-                acc = ffn.b2[c] + ct[c]
-                for u, w_out in units:
-                    s = ffn.b1[u]
-                    for k, w in w1_rows[u]:
-                        s = s + w * ct[k]
-                    r = exact.relu(s)
-                    if r != 0:
-                        acc = acc + w_out * r
-                outcomes.append((xp, combo, acc))
+                _att, _ffn, y = layer.step(x, [_spread(model.width, fsupp, o) for o in combo])
+                outcomes.append((xp, combo, y[c]))
 
         for b in range(dec.bits):
             bitvals = {dec.code(y) >> b & 1 for _xp, _combo, y in outcomes}

@@ -13,9 +13,6 @@ from fractions import Fraction
 
 import sympy
 
-#: Union of supported scalar types, for documentation purposes.
-ExactScalar = object
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)

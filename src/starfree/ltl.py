@@ -301,8 +301,6 @@ def _scan(lhs: int, rhs: int, bits) -> int:
 def _tokens(input_text, alphabet: Optional[Alphabet]) -> list:
     if alphabet is not None:
         return alphabet.tokenize(input_text)
-    if isinstance(input_text, (list, tuple)):
-        return list(input_text)
     return list(input_text)
 
 

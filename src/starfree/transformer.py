@@ -12,6 +12,14 @@ rightmost, and emits a linear function of the chosen position's activation
 the residual stream, followed by a two-layer ReLU feed-forward network with
 its own residual. Optional layer normalization runs after either sublayer.
 
+The forward semantics are defined once, here: `Transformer.embed` and
+`Transformer.embedding_image` build embeddings with one helper,
+`AttentionHead.query`, `score_from_query` and `value` score and read
+positions, `TransformerLayer.step` does a layer's residual sum, layer norms
+and feed-forward net, and `output_rule` decides acceptance. The evaluator
+below, `compiler.enumerate_value_set` and the decompiler all call these, so
+value sets and decompiled programs are computed from the runtime itself.
+
 Weight matrices are sparse (`SparseMatrix`): in compiled models about one
 weight in a hundred is nonzero, or fewer, so every combinator and the
 runtime work on the nonzero entries only. Vectors are dense tuples.
@@ -39,7 +47,7 @@ nets and layer norms see every computation the evaluator makes.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -48,7 +56,7 @@ from typing import Optional
 
 from . import exact
 from .brasp import Alphabet, MaskKind, LEFTMOST, RIGHTMOST
-from .predicates import PositionEmbedding, pe_from_spec
+from .predicates import PositionEmbedding, ScalarKey, pe_from_spec
 
 
 class TransformerError(Exception):
@@ -299,6 +307,24 @@ class TransformerLayer:
         if not self.heads:
             raise TransformerError("layer needs at least one head")
 
+    def step(self, x, head_outputs) -> tuple:
+        """The layer's position-wise part at one position.
+
+        `x` is the position's input activation and `head_outputs` the value
+        vectors of the heads that attended somewhere. Returns (att, ffn, out):
+        the residual sum, the feed-forward residual after `ln_att`, and the
+        layer output after `ln_ffn`.
+        """
+        att = list(x)
+        for value in head_outputs:
+            for k, v in enumerate(value):
+                if v != 0:
+                    att[k] = att[k] + v
+        mid = att if self.ln_att is None else self.ln_att.apply(att)
+        ffn = [a + b for a, b in zip(mid, self.ffn.apply(mid))]
+        out = ffn if self.ln_ffn is None else self.ln_ffn.apply(ffn)
+        return att, ffn, out
+
 
 @dataclass
 class OutputLayer:
@@ -349,17 +375,33 @@ class Transformer:
     def depth(self) -> int:
         return len(self.layers)
 
-    def embed(self, tokens) -> list:
-        n = len(tokens)
-        out = []
-        for i, t in enumerate(tokens, start=1):
-            vec = list(self.embedding[t])
-            for pe, offset in self.position_embeddings:
-                pv = pe(n, i)
+    def _embedded(self, symbol, pe_vectors) -> list:
+        """The embedding of `symbol` plus each position embedding's vector in its slice."""
+        vec = list(self.embedding[symbol])
+        if pe_vectors:  # `embed` calls this per token; an empty zip would double its cost
+            for (_pe, offset), pv in zip(self.position_embeddings, pe_vectors):
                 for k, v in enumerate(pv):
                     vec[offset + k] = vec[offset + k] + v
-            out.append(vec)
-        return out
+        return vec
+
+    def embed(self, tokens) -> list:
+        n = len(tokens)
+        columns = [[pe(n, i) for i in range(1, n + 1)] for pe, _ in self.position_embeddings]
+        per_position = zip(*columns) if columns else [()] * n
+        return [self._embedded(t, pvs) for t, pvs in zip(tokens, per_position)]
+
+    def embedding_image(self) -> list:
+        """Every (symbol, position-embedding vectors, embedding vector).
+
+        Symbol-major, the vectors of each symbol in `itertools.product` order
+        over the position embeddings' images; needs finite-image embeddings.
+        """
+        images = [pe.image() for pe, _ in self.position_embeddings]
+        return [
+            (sym, combo, tuple(self._embedded(sym, combo)))
+            for sym in self.alphabet.symbols
+            for combo in itertools.product(*images)
+        ]
 
 
 @dataclass
@@ -550,34 +592,29 @@ class _EvalCache:
         return [by_rank[r] for r in sorted(by_rank, reverse=True)]
 
     def _step(self, layer, heads: list, level: _Level, nxt: _Level, key: tuple) -> tuple:
-        """Attention sum, FFN and layer norms for one (state, attended states) key."""
+        """`layer.step` for one (state, attended states) key."""
         sid, chosen = key
-        delta = [0] * len(level.states[sid])
+        values = []
         for head, hc, c in zip(layer.heads, heads, chosen):
             if c is None:
                 continue
             value = hc.values.get(c)
             if value is None:
                 value = hc.values[c] = _share(self.shared, head.value(level.states[c]))
-            for k, v in enumerate(value):
-                if v != 0:
-                    delta[k] = delta[k] + v
-        att = [a + b for a, b in zip(level.states[sid], delta)]
-        mid = att if layer.ln_att is None else layer.ln_att.apply(att)
-        ffn = [a + b for a, b in zip(mid, layer.ffn.apply(mid))]
-        out = ffn if layer.ln_ffn is None else layer.ln_ffn.apply(ffn)
+            values.append(value)
+        att, ffn, out = layer.step(level.states[sid], values)
         return _share(self.shared, att), _share(self.shared, ffn), nxt.intern(out)
 
     def verdict(self, model: "Transformer", sid: int) -> bool:
         hit = self.verdicts.get(sid)
         if hit is None:
-            hit = self.verdicts[sid] = _output_rule(model, self.levels[-1].states[sid])
+            hit = self.verdicts[sid] = output_rule(model, self.levels[-1].states[sid])
         return hit
 
 
 def _ranks(scores: dict) -> dict:
     """Key -> an int that orders the keys' scores: equal ints for equal scores."""
-    order = sorted(scores.items(), key=functools.cmp_to_key(lambda a, b: exact.compare(a[1], b[1])))
+    order = sorted(scores.items(), key=lambda item: ScalarKey(item[1]))
     ranks = {}
     rank = 0
     for k, (key, score) in enumerate(order):
@@ -605,7 +642,7 @@ def run_transformer(model: Transformer, input_text) -> ActivationTrace:
     return ActivationTrace(tokens, [list(level0[sid]) for sid in ids0], trace_layers)
 
 
-def _output_rule(model: Transformer, last) -> bool:
+def output_rule(model: Transformer, last) -> bool:
     """The output projection of the last position's activation is nonnegative."""
     if model.output is None:
         raise TransformerError("transformer has no output layer")
@@ -618,7 +655,7 @@ def _output_rule(model: Transformer, last) -> bool:
 
 def trace_accepts(model: Transformer, trace: ActivationTrace) -> bool:
     """The output rule applied to a trace's last position."""
-    return _output_rule(model, trace.final[-1])
+    return output_rule(model, trace.final[-1])
 
 
 def accepts_transformer(model: Transformer, input_text) -> bool:

@@ -1,6 +1,7 @@
 """Parser, interpreter, and attention-depth tests for the program core."""
 
 import itertools
+import pickle
 
 import pytest
 
@@ -166,6 +167,22 @@ def test_unbound_predicate_family_errors():
     fam = PredicateFamily("Mystery", lambda n, i: i == n)
     tr = brasp.eval(prog, "aa", {"Mystery": fam})
     assert tr.row_bits("P") == [0, 1]
+
+
+def test_alphabet_tokenizes_and_pickles_by_its_symbols_alone():
+    chars, words = Alphabet(("l", "r")), Alphabet(("ab", "c"))
+    assert chars.tokenize("lrl") == ["l", "r", "l"]
+    assert words.tokenize("ab c ab") == ["ab", "c", "ab"]
+    assert words.tokenize(("c", "ab")) == ["c", "ab"]
+    with pytest.raises(BraspError, match="not in alphabet"):
+        chars.tokenize("l r")
+    with pytest.raises(BraspError, match="bad alphabet symbol"):
+        Alphabet(("a", 1))
+    for alphabet in (chars, words):
+        assert alphabet.__getstate__() == {"symbols": alphabet.symbols}
+        copy = pickle.loads(pickle.dumps(alphabet))
+        assert copy == alphabet and hash(copy) == hash(alphabet)
+        assert copy.tokenize(list(alphabet.symbols)) == list(alphabet.symbols)
 
 
 def test_eval_is_deterministic():

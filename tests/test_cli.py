@@ -132,6 +132,32 @@ def test_automata_subcommands(tmp_path, capsys):
     assert main(["diff", str(prog_path), str(a3), "--bound", "6"]) == 0
 
 
+def _without_resets(payload):
+    del payload["factors"][1]["resets"]
+
+
+@pytest.mark.parametrize(
+    "data, corrupt, command, named",
+    [
+        ("a3_dfa.json", lambda p: p.pop("alphabet"), "check-cf", "DFA: missing field 'alphabet'"),
+        ("a3_dfa.json", lambda p: p.update(finals=5), "check-cf", "DFA: field 'finals' must be a list"),
+        ("a3_cascade.json", _without_resets, "cascade-compile", "cascade factor 2: missing field 'resets'"),
+        ("a3_dfa.json", lambda p: p["transitions"][0].pop(), "check-cf", "is not a [state, symbol, state] triple"),
+        ("a3_dfa.json", lambda p: p["states"].append(["4"]), "check-cf", "is not a state or symbol name"),
+    ],
+)
+def test_malformed_automaton_file_is_a_usage_error(data, corrupt, command, named, tmp_path, capsys):
+    payload = json.loads(corpus.data_text(data))
+    corrupt(payload)
+    path = tmp_path / "automaton"
+    path.write_text(json.dumps(payload))
+    target = tmp_path / "a3"
+    target.write_text(corpus.data_text("a3_dfa.json"))
+    argv = ["automata", command, str(path)] + (["--target", str(target)] if command != "check-cf" else [])
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_diff_json_lines_and_jobs(capsys):
     code = main(
         [

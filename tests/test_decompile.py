@@ -55,6 +55,18 @@ def test_observed_activations_lie_in_enumerated_set():
                     assert tuple(vec) in sets[ell], (tup, ell)
 
 
+@pytest.mark.parametrize(
+    "program, counts",
+    [(corpus.dyck_program, (1150, 170, 119)), (corpus.parity_mod_program, (4, 5, 4))],
+    ids=["dyck", "parity_mod"],
+)
+def test_value_set_size_and_decompiled_op_counts_are_pinned(program, counts):
+    """Value-set size, then shallower and smaller op counts, of the naive model."""
+    model = compile_naive(program())
+    size = sum(len(level.activations) for level in enumerate_value_set(model))
+    assert (size, len(decompile(model, "shallower").ops), len(decompile(model, "smaller").ops)) == counts
+
+
 def test_enumerate_rejects_uncertified_pe():
     from starfree.predicates import PositionEmbedding
 

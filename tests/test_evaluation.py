@@ -130,10 +130,19 @@ def test_pickled_model_carries_no_cache():
     assert [tf.accepts_transformer(copy, w) for w in ("llrr", "lrl", "rrll")] == want
 
 
-def test_interned_states_lie_in_the_enumerated_value_set():
+# Depth-preserving dyck is left out: its value set takes seconds to
+# enumerate, and over a minute once layer-norm encoded.
+VALUE_SET_CASES = [case for case in CASES if case != ("dyck", "depth")]
+
+
+@pytest.mark.parametrize("encoded", [False, True], ids=["plain", "layernorm"])
+@pytest.mark.parametrize("name,kind", VALUE_SET_CASES)
+def test_interned_states_lie_in_the_enumerated_value_set(name, kind, encoded):
     """The finite-image property, checked between the runtime and the enumerator."""
-    model = _compiled("dyck", "naive")
-    for w in testkit.strings_over(model.alphabet, BOUNDS["dyck"]):
+    model = _compiled(name, kind)
+    if encoded:
+        model = tf.apply_layernorm_encoding(model)
+    for w in testkit.strings_over(model.alphabet, (LN_BOUNDS if encoded else BOUNDS)[name]):
         tf.accepts_transformer(model, w)
     levels = compiler.enumerate_value_set(model)
     states = model._eval_cache.levels

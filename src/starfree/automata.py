@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 from . import boolexpr as bx
@@ -257,8 +258,6 @@ class Cascade:
         return tuple(out)
 
     def global_states(self) -> list:
-        from itertools import product
-
         return [tuple(t) for t in product(*(f.states for f in self.factors))]
 
 
@@ -331,7 +330,6 @@ def identity_reset_to_brasp(
     ops, names = _reset_tracker_ops(
         automaton,
         start,
-        prefix="B",
         lift=lambda sym, pos: Var(qname(sym), pos),
         namegen=lambda q: f"B_{q}",
     )
@@ -339,7 +337,7 @@ def identity_reset_to_brasp(
     return prog, names
 
 
-def _reset_tracker_ops(automaton, start, prefix, lift, namegen):
+def _reset_tracker_ops(automaton, start, lift, namegen):
     """Attention ops reading the most recent reset, shared by both entry points.
 
     `lift(symbol, pos)` renders the factor-alphabet symbol test at a position.
@@ -378,7 +376,6 @@ def cascade_to_brasp(cascade: Cascade, target: Dfa) -> BraspProgram:
         )
     alphabet = cascade.alphabet
     ops: list = []
-    fresh_count = [0]
 
     # prefix_vectors maps tuples of factor states (prefix of a global state)
     # to the vector name asserting that joint state before position i.
@@ -394,16 +391,13 @@ def cascade_to_brasp(cascade: Cascade, target: Dfa) -> BraspProgram:
             return bx.conj([Var(prefix_name, pos), Var(qname(a), pos)])
 
         level_ops, names = _reset_tracker_ops(
-            cascade_factor := factor,
+            factor,
             factor.start,
-            prefix=f"L{level}",
             lift=lift,
             namegen=lambda q, _level=level: f"S{_level}_{q}",
         )
         ops.extend(level_ops)
         new_prefix: dict = {}
-        from itertools import product
-
         for prefix in product(*(f.states for f in cascade.factors[:k])):
             for q in factor.states:
                 joint = prefix + (q,)

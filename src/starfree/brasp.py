@@ -94,33 +94,41 @@ def qname(symbol: str) -> str:
 
 
 class MaskKind(enum.Enum):
-    NONE = "none"
-    FUTURE = "j<i"
-    PAST = "j>i"
-    FUTURE_EQ = "j<=i"
-    PAST_EQ = "j>=i"
+    """Which positions j a query position i may attend to.
 
-    @property
-    def strict(self) -> bool:
-        return self in (MaskKind.FUTURE, MaskKind.PAST)
+    NONE admits every position. The one-sided masks look to one side of i:
+    j<i and j<=i look left (`before`), j>i and j>=i look right. The strict
+    masks j<i and j>i also exclude j = i, so a position never attends to
+    itself; j<=i and j>=i admit it.
+    """
 
-    @property
-    def nonstrict_dialect(self) -> bool:
-        """True if allowed in the non-strict dialect (no strict masks)."""
-        return not self.strict
+    # text form, before, strict
+    NONE = ("none", False, False)
+    FUTURE = ("j<i", True, True)
+    PAST = ("j>i", False, True)
+    FUTURE_EQ = ("j<=i", True, False)
+    PAST_EQ = ("j>=i", False, False)
+
+    def __new__(cls, text: str, before: bool, strict: bool):
+        mask = object.__new__(cls)
+        mask._value_ = text
+        mask.before = before  # looks left of i (j<i, j<=i)
+        mask.strict = strict  # excludes i itself (j<i, j>i)
+        return mask
+
+    @classmethod
+    def toward(cls, before: bool, strict: bool) -> "MaskKind":
+        """The one-sided mask looking left (`before`) or right, strict or not."""
+        return next(m for m in cls if m is not cls.NONE and (m.before, m.strict) == (before, strict))
 
     def row(self, i: int, n: int) -> int:
         """Bitmask of unmasked positions j for query position i (1-based)."""
         full = (1 << n) - 1
         if self is MaskKind.NONE:
             return full
-        if self is MaskKind.FUTURE:
-            return (1 << (i - 1)) - 1
-        if self is MaskKind.FUTURE_EQ:
-            return (1 << i) - 1
-        if self is MaskKind.PAST:
-            return full & ~((1 << i) - 1)
-        return full & ~((1 << (i - 1)) - 1)
+        if self.before:  # j < i, or j <= i
+            return (1 << (i - self.strict)) - 1
+        return full & ~((1 << (i - 1 + self.strict)) - 1)  # j > i, or j >= i
 
 
 LEFTMOST = "leftmost"

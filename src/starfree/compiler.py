@@ -785,30 +785,6 @@ def _decompile_embedding(dec: _Decompiler):
             dec.bitref[(0, c, b)] = dec.emit_pw(f"E{c}b{b}", expr)
 
 
-def _head_tables(dec: _Decompiler, ell: int, head_idx: int):
-    """Projections and exact tables for one head at one layer."""
-    model = dec.model
-    head = model.layers[ell - 1].heads[head_idx]
-    prev = dec.levels[ell - 1].activations
-    isupp = sorted({r for r, _c, _v in head.score_sparse.entries})
-    jsupp = sorted({c for _r, c, _v in head.score_sparse.entries})
-    vsupp = sorted({c for _r, c, _v in head.value_sparse.entries})
-    iprojs = _dedup([tuple(u[k] for k in isupp) for u in prev])
-    jprojs = _dedup([tuple(u[k] for k in jsupp) for u in prev])
-    vprojs = _dedup([tuple(u[k] for k in vsupp) for u in prev])
-    if len(iprojs) * len(jprojs) > PAIR_CAP:
-        raise CompileError("score pair enumeration exceeds cap")
-    queries = {p: head.query(_spread(model.width, isupp, p)) for p in iprojs}
-
-    def score_of(p, q):
-        return head.score_from_query(queries[p], _spread(model.width, jsupp, q))
-
-    def value_of(q):
-        return tuple(head.value(_spread(model.width, vsupp, q)))
-
-    return head, isupp, jsupp, vsupp, iprojs, jprojs, vprojs, score_of, value_of
-
-
 def _spread(width: int, coords, values) -> list:
     """A width-long vector holding `values` at `coords` and int zero elsewhere."""
     vec = [0] * width
@@ -817,34 +793,54 @@ def _spread(width: int, coords, values) -> list:
     return vec
 
 
-def _value_bit_expr(dec, ell, jsupp_coords, projs, value_fn, coord, bit) -> Expr:
-    branches = []
-    for q in projs:
-        if dec.code(value_fn(q)[coord]) >> bit & 1:
-            branches.append(dec.proj_match(ell - 1, jsupp_coords, q, "j"))
-    return bx.disj(branches)
-
-
 def _decompile_layer(dec: _Decompiler, ell: int):
     model = dec.model
     layer = model.layers[ell - 1]
     prev_acts = dec.levels[ell - 1].activations
     opts_per_head = dec.levels[ell].value_options
 
+    def projections(coords) -> list:
+        return _dedup([tuple(u[k] for k in coords) for u in prev_acts])
+
     # Per head: expressions (or op references) for the bits of the head output.
     obit: dict = {}  # (head, coord, bit) -> Expr
     const_out: dict = {}  # (head, coord) -> constant value when invariant
     for h, head in enumerate(layer.heads):
-        (head, isupp, jsupp, vsupp, iprojs, jprojs, vprojs, score_of, value_of) = _head_tables(dec, ell, h)
+        isupp = sorted({r for r, _c, _v in head.score_sparse.entries})
+        jsupp = sorted({c for _r, c, _v in head.score_sparse.entries})
+        vsupp = sorted({c for _r, c, _v in head.value_sparse.entries})
+        iprojs, jprojs = projections(isupp), projections(jsupp)
+        if len(iprojs) * len(jprojs) > PAIR_CAP:
+            raise CompileError("score pair enumeration exceeds cap")
+        # Every (i-projection, j-projection) pair: its match expression and its score.
+        jside = [(dec.proj_match(ell - 1, jsupp, q, "j"), _spread(model.width, jsupp, q)) for q in jprojs]
+        pairs = []
+        for p in iprojs:
+            query = head.query(_spread(model.width, isupp, p))
+            imatch = dec.proj_match(ell - 1, isupp, p, "i")
+            pairs.extend((bx.conj([imatch, jmatch]), head.score_from_query(query, y)) for jmatch, y in jside)
+        svals = sorted({s for _m, s in pairs}, key=ScalarKey)
+
+        def scored(keep) -> Expr:
+            """Some (i, j) projection pair whose score passes `keep` matches."""
+            return bx.disj(match for match, s in pairs if keep(s))
+
+        values = [
+            (dec.proj_match(ell - 1, vsupp, q, "j"), tuple(head.value(_spread(model.width, vsupp, q))))
+            for q in projections(vsupp)
+        ]
         varying = []
         for c in range(model.width):
-            vals = {value_of(q)[c] for q in vprojs} | {ZERO}
+            vals = {v[c] for _m, v in values} | {ZERO}
             if len(vals) == 1:
                 const_out[(h, c)] = vals.pop()
             else:
                 varying.append(c)
-        pairs = [(p, q, score_of(p, q)) for p in iprojs for q in jprojs]
-        svals = sorted({s for _p, _q, s in pairs}, key=ScalarKey)
+        vbit = {  # (coord, bit) -> the attended position's value has the bit set
+            (c, b): bx.disj(vmatch for vmatch, v in values if dec.code(v[c]) >> b & 1)
+            for c in varying
+            for b in range(dec.bits)
+        }
 
         if dec.variant == "shallower":
             none_ref = dec.emit_att(
@@ -853,65 +849,28 @@ def _decompile_layer(dec: _Decompiler, ell: int):
             max_refs = {}
             pick_refs = {}
             for v in svals:
-                sv = bx.disj(
-                    bx.conj(
-                        [
-                            dec.proj_match(ell - 1, isupp, p, "i"),
-                            dec.proj_match(ell - 1, jsupp, q, "j"),
-                        ]
-                    )
-                    for p, q, s in pairs
-                    if s == v
-                )
-                sgt = bx.disj(
-                    bx.conj(
-                        [
-                            dec.proj_match(ell - 1, isupp, p, "i"),
-                            dec.proj_match(ell - 1, jsupp, q, "j"),
-                        ]
-                    )
-                    for p, q, s in pairs
-                    if exact.compare(s, v) > 0
-                )
+                sv = scored(lambda s: s == v)
+                sgt = scored(lambda s: exact.compare(s, v) > 0)
                 vkey = dec.code(v)
                 max_refs[vkey] = dec.emit_att(
                     f"L{ell}H{h}max{vkey}", head.tiebreak, head.mask, sgt, bx.FALSE, bx.TRUE
                 )
-                for c in varying:
-                    for b in range(dec.bits):
-                        vb = _value_bit_expr(dec, ell, vsupp, vprojs, value_of, c, b)
-                        pick_refs[(vkey, c, b)] = dec.emit_att(
-                            f"L{ell}H{h}at{vkey}c{c}b{b}",
-                            head.tiebreak,
-                            head.mask,
-                            sv,
-                            vb,
-                            bx.FALSE,
-                        )
-            for c in varying:
-                for b in range(dec.bits):
-                    zbit = bool(dec.code(ZERO) >> b & 1)
-                    expr = bx.disj(
-                        [
-                            bx.conj([max_refs[dec.code(v)], pick_refs[(dec.code(v), c, b)]])
-                            for v in svals
-                        ]
-                        + ([bx.conj([none_ref, bx.TRUE])] if zbit else [])
+                for (c, b), vb in vbit.items():
+                    pick_refs[(vkey, c, b)] = dec.emit_att(
+                        f"L{ell}H{h}at{vkey}c{c}b{b}", head.tiebreak, head.mask, sv, vb, bx.FALSE
                     )
-                    obit[(h, c, b)] = dec.emit_pw(f"L{ell}H{h}o{c}b{b}", expr)
-        else:
-            sbit = {}
-            for b in range(dec.bits):
-                sbit[b] = bx.disj(
-                    bx.conj(
-                        [
-                            dec.proj_match(ell - 1, isupp, p, "i"),
-                            dec.proj_match(ell - 1, jsupp, q, "j"),
-                        ]
-                    )
-                    for p, q, s in pairs
-                    if dec.code(s) >> b & 1
+            for c, b in vbit:
+                zbit = bool(dec.code(ZERO) >> b & 1)
+                expr = bx.disj(
+                    [
+                        bx.conj([max_refs[dec.code(v)], pick_refs[(dec.code(v), c, b)]])
+                        for v in svals
+                    ]
+                    + ([bx.conj([none_ref, bx.TRUE])] if zbit else [])
                 )
+                obit[(h, c, b)] = dec.emit_pw(f"L{ell}H{h}o{c}b{b}", expr)
+        else:
+            sbit = [scored(lambda s: dec.code(s) >> b & 1) for b in range(dec.bits)]
             max_refs = {}
             for b in range(dec.bits - 1, -1, -1):
                 higher = bx.conj(
@@ -926,18 +885,11 @@ def _decompile_layer(dec: _Decompiler, ell: int):
                     bx.FALSE,
                 )
             argmax = bx.conj(bx.iff(sbit[b], max_refs[b]) for b in range(dec.bits))
-            for c in varying:
-                for b in range(dec.bits):
-                    zbit = Const(bool(dec.code(ZERO) >> b & 1))
-                    vb = _value_bit_expr(dec, ell, vsupp, vprojs, value_of, c, b)
-                    obit[(h, c, b)] = dec.emit_att(
-                        f"L{ell}H{h}o{c}b{b}",
-                        head.tiebreak,
-                        head.mask,
-                        argmax,
-                        vb,
-                        zbit,
-                    )
+            for (c, b), vb in vbit.items():
+                zbit = Const(bool(dec.code(ZERO) >> b & 1))
+                obit[(h, c, b)] = dec.emit_att(
+                    f"L{ell}H{h}o{c}b{b}", head.tiebreak, head.mask, argmax, vb, zbit
+                )
 
     # Position-wise combination: the layer's step on the coordinates that
     # coordinate c depends on, every other coordinate held at zero.

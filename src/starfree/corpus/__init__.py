@@ -8,7 +8,7 @@ translation in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 from typing import Callable, Optional
@@ -61,12 +61,11 @@ def parity_mod_program() -> BraspProgram:
 
 def nonstrict_variant(prog: BraspProgram) -> BraspProgram:
     """Replace strict masks by their non-strict counterparts."""
-    swap = {MaskKind.FUTURE: MaskKind.FUTURE_EQ, MaskKind.PAST: MaskKind.PAST_EQ}
     ops = []
     for op in prog.ops:
         body = op.body
-        if isinstance(body, Attention) and body.mask in swap:
-            body = Attention(body.direction, swap[body.mask], body.score, body.value, body.default)
+        if isinstance(body, Attention) and body.mask.strict:
+            body = replace(body, mask=MaskKind.toward(body.mask.before, False))
         ops.append(BraspOp(op.name, body))
     return BraspProgram(prog.alphabet, tuple(ops), prog.output, prog.predicate_families)
 

@@ -403,28 +403,17 @@ def ltl_to_brasp(
             combine = bx.conj if isinstance(g, AndF) else bx.disj
             kind = "and" if isinstance(g, AndF) else "or"
             return emit((kind, subs), Positionwise(combine(bx.Var(s, "i") for s in subs)))
-        if isinstance(g, Since):
+        if isinstance(g, (Since, Until)):
             p1, p2 = translate(g.lhs), translate(g.rhs)
-            mask = MaskKind.FUTURE if g.strict else MaskKind.FUTURE_EQ
+            before = isinstance(g, Since)
             body = Attention(
-                brasp.RIGHTMOST,
-                mask,
+                brasp.RIGHTMOST if before else brasp.LEFTMOST,
+                MaskKind.toward(before, g.strict),
                 bx.disj([bx.neg(bx.Var(p1, "j")), bx.Var(p2, "j")]),
                 bx.Var(p2, "j"),
                 bx.FALSE,
             )
-            return emit(("since", g.strict, p1, p2), body)
-        if isinstance(g, Until):
-            p1, p2 = translate(g.lhs), translate(g.rhs)
-            mask = MaskKind.PAST if g.strict else MaskKind.PAST_EQ
-            body = Attention(
-                brasp.LEFTMOST,
-                mask,
-                bx.disj([bx.neg(bx.Var(p1, "j")), bx.Var(p2, "j")]),
-                bx.Var(p2, "j"),
-                bx.FALSE,
-            )
-            return emit(("until", g.strict, p1, p2), body)
+            return emit((type(g), g.strict, p1, p2), body)
         raise LtlError(f"unknown formula node {g!r}")
 
     root = translate(f)
@@ -435,21 +424,15 @@ def ltl_to_brasp(
 # Program -> formula
 
 
-def _exists_before(g: Formula, strict: bool) -> Formula:
-    return Since(TRUE, g, strict)
+def _exists(g: Formula, before: bool, strict: bool) -> Formula:
+    """g holds somewhere left of (`before`) or right of the current position."""
+    return (Since if before else Until)(TRUE, g, strict)
 
 
-def _exists_after(g: Formula, strict: bool) -> Formula:
-    return Until(TRUE, g, strict)
-
-
-def _last_holding(score: Formula) -> Formula:
-    """Marks the globally rightmost position satisfying `score` (strict ops)."""
-    return and_(score, not_(_exists_after(score, True)))
-
-
-def _first_holding(score: Formula) -> Formula:
-    return and_(score, not_(_exists_before(score, True)))
+def _extreme_holding(g: Formula, first: bool) -> Formula:
+    """Marks the globally leftmost (`first`) or rightmost position satisfying
+    g (strict operators)."""
+    return and_(g, not_(_exists(g, first, True)))
 
 
 def brasp_to_ltl(prog: BraspProgram, nonstrict_none: Optional[bool] = None) -> Formula:
@@ -502,82 +485,44 @@ def brasp_to_ltl(prog: BraspProgram, nonstrict_none: Optional[bool] = None) -> F
     return formulas[prog.output.vector]
 
 
-def _suffix_extremum(fs: Formula, fv: Formula, outward: bool) -> Formula:
+def _suffix_extremum(fs: Formula, fv: Formula, before: bool) -> Formula:
     """Non-strict rendering of "the farthest score position on one side has
-    the value". outward=True looks right (until'), else left (since')."""
-    mk = _exists_after if outward else _exists_before
-    witness = and_(fs, fv, not_(mk(and_(fs, not_(fv)), False)))
-    return mk(witness, False)
+    the value": before=True looks left (since'), else right (until')."""
+    witness = and_(fs, fv, not_(_exists(and_(fs, not_(fv)), before, False)))
+    return _exists(witness, before, False)
+
+
+def _nearest(fs: Formula, fv: Formula, before: bool, strict: bool) -> Formula:
+    """The nearest score position on one side has the value."""
+    return (Since if before else Until)(not_(fs), and_(fs, fv), strict)
 
 
 def _attention_formula(body, fs, fv, fd, nonstrict_none: bool) -> Formula:
-    rightmost = body.direction == brasp.RIGHTMOST
+    leftmost = body.direction == brasp.LEFTMOST
     mask = body.mask
-    if mask is MaskKind.FUTURE and rightmost:
-        return or_(
-            Since(not_(fs), and_(fs, fv), True),
-            and_(not_(_exists_before(fs, True)), fd),
-        )
-    if mask is MaskKind.PAST and not rightmost:
-        return or_(
-            Until(not_(fs), and_(fs, fv), True),
-            and_(not_(_exists_after(fs, True)), fd),
-        )
-    if mask is MaskKind.PAST and rightmost:
-        return or_(
-            _exists_after(and_(_last_holding(fs), fv), True),
-            and_(not_(_exists_after(fs, True)), fd),
-        )
-    if mask is MaskKind.FUTURE and not rightmost:
-        return or_(
-            _exists_before(and_(_first_holding(fs), fv), True),
-            and_(not_(_exists_before(fs, True)), fd),
-        )
-    if mask is MaskKind.FUTURE_EQ and rightmost:
-        return or_(
-            Since(not_(fs), and_(fs, fv), False),
-            and_(not_(_exists_before(fs, False)), fd),
-        )
-    if mask is MaskKind.PAST_EQ and not rightmost:
-        return or_(
-            Until(not_(fs), and_(fs, fv), False),
-            and_(not_(_exists_after(fs, False)), fd),
-        )
-    if mask is MaskKind.PAST_EQ and rightmost:
-        return or_(
-            _suffix_extremum(fs, fv, True),
-            and_(not_(_exists_after(fs, False)), fd),
-        )
-    if mask is MaskKind.FUTURE_EQ and not rightmost:
-        return or_(
-            _suffix_extremum(fs, fv, False),
-            and_(not_(_exists_before(fs, False)), fd),
-        )
-    assert mask is MaskKind.NONE
+    if mask is not MaskKind.NONE:
+        before, strict = mask.before, mask.strict
+        if leftmost != before:  # the tie-break picks the score position nearest i
+            hit = _nearest(fs, fv, before, strict)
+        elif strict:  # ... the farthest one, past a strict mask
+            hit = _exists(and_(_extreme_holding(fs, before), fv), before, True)
+        else:
+            hit = _suffix_extremum(fs, fv, before)
+        return or_(hit, and_(not_(_exists(fs, before, strict)), fd))
     if not nonstrict_none:
-        anywhere_s = or_(_exists_before(fs, True), fs, _exists_after(fs, True))
-        marker = _last_holding(fs) if rightmost else _first_holding(fs)
-        hit = and_(marker, fv)
-        anywhere_hit = or_(_exists_before(hit, True), hit, _exists_after(hit, True))
+        anywhere_s = or_(_exists(fs, True, True), fs, _exists(fs, False, True))
+        hit = and_(_extreme_holding(fs, leftmost), fv)
+        anywhere_hit = or_(_exists(hit, True, True), hit, _exists(hit, False, True))
         return or_(anywhere_hit, and_(not_(anywhere_s), fd))
-    # Non-strict rendering: split on which side of the current position the
-    # extremal score position falls.
-    e_fwd = _exists_after(fs, False)
-    e_bwd = _exists_before(fs, False)
-    if rightmost:
-        far = _suffix_extremum(fs, fv, True)
-        near = Since(not_(fs), and_(fs, fv), False)
-        return or_(
-            and_(e_fwd, far),
-            and_(not_(e_fwd), e_bwd, near),
-            and_(not_(e_fwd), not_(e_bwd), fd),
-        )
-    far = _suffix_extremum(fs, fv, False)
-    near = Until(not_(fs), and_(fs, fv), False)
+    # Non-strict rendering: the extremal score position is the farthest one
+    # on the tie-break's side of i, if that side (i included) has one, and
+    # otherwise the nearest one on the other side.
+    far_side = _exists(fs, leftmost, False)
+    near_side = _exists(fs, not leftmost, False)
     return or_(
-        and_(e_bwd, far),
-        and_(not_(e_bwd), e_fwd, near),
-        and_(not_(e_bwd), not_(e_fwd), fd),
+        and_(far_side, _suffix_extremum(fs, fv, leftmost)),
+        and_(not_(far_side), near_side, _nearest(fs, fv, not leftmost, False)),
+        and_(not_(far_side), not_(near_side), fd),
     )
 
 

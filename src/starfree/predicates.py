@@ -67,7 +67,9 @@ def lookup(name: str) -> Optional[PredicateFamily]:
 def load_family_table(path, name: Optional[str] = None) -> PredicateFamily:
     """Load a family from a table file of `n i bit` lines (bounded n).
 
-    Querying an (n, i) not covered by the table raises.
+    Each line gives one position 1 <= i <= n a bit of 0 or 1, at most once;
+    a malformed line raises ValueError naming `path:line`. Querying an
+    (n, i) not covered by the table raises.
     """
     table = {}
     with open(path, encoding="utf-8") as fh:
@@ -78,7 +80,16 @@ def load_family_table(path, name: Optional[str] = None) -> PredicateFamily:
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'n i bit'")
-            n, i, bit = int(parts[0]), int(parts[1]), int(parts[2])
+            try:
+                n, i, bit = (int(p) for p in parts)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: fields must be integers, got {line!r}") from None
+            if not 1 <= i <= n:
+                raise ValueError(f"{path}:{lineno}: position {i} outside 1..{n}")
+            if bit not in (0, 1):
+                raise ValueError(f"{path}:{lineno}: bit must be 0 or 1, got {bit}")
+            if (n, i) in table:
+                raise ValueError(f"{path}:{lineno}: repeated entry for n={n}, i={i}")
             table[(n, i)] = bool(bit)
 
     def evaluator(n: int, i: int) -> bool:

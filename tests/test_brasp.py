@@ -192,6 +192,33 @@ def test_eval_is_deterministic():
     assert a == b
 
 
+ONE_SIDED = (MaskKind.FUTURE, MaskKind.PAST, MaskKind.FUTURE_EQ, MaskKind.PAST_EQ)
+
+
+def test_mask_toward_inverts_side_and_strictness():
+    for mask in ONE_SIDED:
+        assert MaskKind.toward(mask.before, mask.strict) is mask
+    assert [(m.before, m.strict) for m in ONE_SIDED] == [
+        (True, True), (False, True), (True, False), (False, False)
+    ]
+
+
+def test_mask_row_agrees_with_side_and_strictness():
+    for mask in MaskKind:
+        for n in range(1, 7):
+            for i in range(1, n + 1):
+                row = mask.row(i, n)
+                for j in range(1, n + 1):
+                    if mask is MaskKind.NONE:
+                        allowed = True
+                    elif j == i:
+                        allowed = not mask.strict
+                    else:
+                        allowed = (j < i) == mask.before
+                    assert bool(row >> (j - 1) & 1) == allowed, (mask, n, i, j)
+                assert row >> n == 0
+
+
 def _op_form_programs():
     """Small programs covering every mask/direction combination."""
     progs = []

@@ -211,6 +211,56 @@ def test_brasp_to_ltl_covers_every_mask_direction():
         assert report.ok, (prog.ops[0].body.mask, prog.ops[0].body.direction, report.summary())
 
 
+# Formula texts for `_mask_coverage_programs`: score Qb, value Qa, default Qa.
+PINNED_BRASP_TO_LTL = {
+    ("none", "leftmost"): "(1 S' Qb) & (1 S' Qb & Qa & !(1 S' Qb & !Qa)) | !(1 S' Qb) & (1 U' Qb) & (!Qb U' Qb & Qa) | !(1 S' Qb) & !(1 U' Qb) & Qa",
+    ("none", "rightmost"): "(1 U' Qb) & (1 U' Qb & Qa & !(1 U' Qb & !Qa)) | !(1 U' Qb) & (1 S' Qb) & (!Qb S' Qb & Qa) | !(1 U' Qb) & !(1 S' Qb) & Qa",
+    ("j<i", "leftmost"): "(1 S (Qb & !(1 S Qb)) & Qa) | !(1 S Qb) & Qa",
+    ("j<i", "rightmost"): "(!Qb S Qb & Qa) | !(1 S Qb) & Qa",
+    ("j>i", "leftmost"): "(!Qb U Qb & Qa) | !(1 U Qb) & Qa",
+    ("j>i", "rightmost"): "(1 U (Qb & !(1 U Qb)) & Qa) | !(1 U Qb) & Qa",
+    ("j<=i", "leftmost"): "(1 S' Qb & Qa & !(1 S' Qb & !Qa)) | !(1 S' Qb) & Qa",
+    ("j<=i", "rightmost"): "(!Qb S' Qb & Qa) | !(1 S' Qb) & Qa",
+    ("j>=i", "leftmost"): "(!Qb U' Qb & Qa) | !(1 U' Qb) & Qa",
+    ("j>=i", "rightmost"): "(1 U' Qb & Qa & !(1 U' Qb & !Qa)) | !(1 U' Qb) & Qa",
+}
+# The strict rendering of the unmasked case (`nonstrict_none=False`).
+PINNED_STRICT_UNMASKED = {
+    "leftmost": "((1 S (Qb & !(1 S Qb)) & Qa) | (Qb & !(1 S Qb)) & Qa | (1 U (Qb & !(1 S Qb)) & Qa)) | !((1 S Qb) | Qb | (1 U Qb)) & Qa",
+    "rightmost": "((1 S (Qb & !(1 U Qb)) & Qa) | (Qb & !(1 U Qb)) & Qa | (1 U (Qb & !(1 U Qb)) & Qa)) | !((1 S Qb) | Qb | (1 U Qb)) & Qa",
+}
+
+
+def test_brasp_to_ltl_pinned_text_per_mask_direction():
+    for prog in _mask_coverage_programs():
+        body = prog.ops[0].body
+        text = ltl.formula_to_text(ltl.brasp_to_ltl(prog))
+        assert text == PINNED_BRASP_TO_LTL[(body.mask.value, body.direction)]
+        if body.mask is MaskKind.NONE:
+            text = ltl.formula_to_text(ltl.brasp_to_ltl(prog, nonstrict_none=False))
+            assert text == PINNED_STRICT_UNMASKED[body.direction]
+
+
+@pytest.mark.parametrize(
+    "formula, attention",
+    [
+        ("Qa S Qb", "[rightmost, j<i]"),
+        ("Qa S' Qb", "[rightmost, j<=i]"),
+        ("Qa U Qb", "[leftmost, j>i]"),
+        ("Qa U' Qb", "[leftmost, j>=i]"),
+    ],
+)
+def test_ltl_to_brasp_pinned_text(formula, attention):
+    prog = ltl.ltl_to_brasp(ltl.parse_formula(formula))
+    assert brasp.program_to_text(prog) == (
+        "alphabet: a b\n"
+        "F1(i) := Q_a(i)\n"
+        "F2(i) := Q_b(i)\n"
+        f"F3(i) := {attention} !F1(j) | F2(j) ? F2(j) : 0\n"
+        "output: F3\n"
+    )
+
+
 def test_nonstrict_unmasked_rendering_stays_nonstrict():
     import starfree.boolexpr as bx
     from starfree.brasp import Accept, Alphabet, BraspOp, BraspProgram

@@ -1,5 +1,6 @@
 """Predicate families, position embeddings, and the modular-arithmetic gadget."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -228,3 +229,15 @@ def test_family_table_file(tmp_path):
     assert fam.truth_table(3) == [True, False, True]
     with pytest.raises(ValueError):
         fam(4, 1)
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    ["3 2 2", "3 2 -4", "3 1 0", "3 0 1", "3 4 1", "3 x 1", "3 2 1.0"],
+    ids=["bit-2", "bit-minus-4", "repeated", "i-zero", "i-past-n", "word", "decimal"],
+)
+def test_family_table_rejects_malformed_line(tmp_path, bad_line):
+    path = tmp_path / "fam.tab"
+    path.write_text(f"# n i bit\n3 1 1\n{bad_line}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
+        predicates.load_family_table(path)

@@ -308,10 +308,6 @@ def check_homomorphism(cascade: Cascade, target: Dfa) -> bool:
 # Compilation to programs
 
 
-def _sym_disj(symbols, pos: str) -> bx.Expr:
-    return bx.disj(Var(qname(a), pos) for a in symbols)
-
-
 def identity_reset_to_brasp(
     automaton: IdentityResetAutomaton, start=None, alphabet: Optional[Alphabet] = None
 ) -> tuple:

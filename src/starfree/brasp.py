@@ -12,21 +12,28 @@ vector per output symbol at every position.
 Inputs must be non-empty: the accept/reject decision lives at a designated
 position, which an empty string does not have.
 
-The interpreter works from a plan that it builds on a program's first
-evaluation and keeps on the program instance. The plan gives every vector
-and predicate family a slot in one flat list of bitmask rows and compiles
-every expression once, to closures. For each attention operation it records
-the atoms that the score and value read at i; query positions that agree on
-them share one score row and one value row, so attention costs one
-evaluation per group of positions plus a mask-and-pick per position. A plan
-is never built at parse or construction time, does not take part in `==` or
-`hash`, and is dropped on pickling. Predicate-family rows are computed on
-every call, because `preds` may bind different families from call to call.
+This module owns the bitmask-row format that every interpreter shares: a
+set of positions 1..n is an int whose bit p-1 stands for position p.
+`positions_of` groups positions by value, `MaskKind.rows(n)` is a mask's
+table of rows for length n, kept in a bounded cache, and `run_plan` fills a
+plan's symbol and predicate-family rows and then runs its steps, each
+`step(rows, full) -> row`. Programs and temporal formulas (`ltl`) both run
+through it. A program's plan is built on its first evaluation and kept on
+the program instance; it gives every vector and predicate family a slot and
+compiles every expression once, to closures. For each attention operation
+it records the atoms that the score and value read at i; query positions
+that agree on them share one score row and one value row, so attention
+costs one evaluation per group of positions plus a mask-and-pick per
+position. A plan is never built at parse or construction time, does not
+take part in `==` or `hash`, and is dropped on pickling. Predicate-family
+rows are computed on every call, because `preds` may bind different
+families from call to call.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -69,9 +76,6 @@ class Alphabet:
         object.__setattr__(self, "symbols", state["symbols"])
         self.__post_init__()
 
-    def index(self, symbol: str) -> int:
-        return self.symbols.index(symbol)
-
     def tokenize(self, text) -> list:
         """Split an input string into symbols.
 
@@ -91,6 +95,11 @@ class Alphabet:
 def qname(symbol: str) -> str:
     """Name of the built-in indicator vector for a symbol."""
     return f"Q_{symbol}"
+
+
+# How many tables `MaskKind.rows` and `MaskKind.picks` each keep: one per
+# (mask, n), and per tie-break for `picks`; the least recently used goes first.
+MASK_TABLES = 128
 
 
 class MaskKind(enum.Enum):
@@ -129,6 +138,19 @@ class MaskKind(enum.Enum):
         if self.before:  # j < i, or j <= i
             return (1 << (i - self.strict)) - 1
         return full & ~((1 << (i - 1 + self.strict)) - 1)  # j > i, or j >= i
+
+    @functools.lru_cache(maxsize=MASK_TABLES)
+    def rows(self, n: int) -> tuple:
+        """`row(i, n)` for i = 1..n: the mask's table for length n."""
+        return tuple(self.row(i, n) for i in range(1, n + 1))
+
+    @functools.lru_cache(maxsize=MASK_TABLES)
+    def picks(self, n: int, leftmost: bool) -> tuple:
+        """Per query position, its leftmost or rightmost unmasked position, or None."""
+        return tuple(
+            ((row & -row).bit_length() if leftmost else row.bit_length()) if row else None
+            for row in self.rows(n)
+        )
 
 
 LEFTMOST = "leftmost"
@@ -500,12 +522,12 @@ class Trace:
         return "\n".join(lines)
 
 
-def resolve_families(prog: BraspProgram, preds):
-    """Map declared family names to evaluators, consulting the registry."""
+def resolve_families(names, preds) -> dict:
+    """Map family names to evaluators: `preds` first, then the registry."""
     from . import predicates as predmod
 
     resolved = {}
-    for fam in prog.predicate_families:
+    for fam in names:
         if preds and fam in preds:
             resolved[fam] = preds[fam]
         else:
@@ -516,6 +538,38 @@ def resolve_families(prog: BraspProgram, preds):
     return resolved
 
 
+def positions_of(values) -> dict:
+    """Each distinct value of the sequence, with the bitmask of its positions."""
+    at: dict = {}
+    for p, v in enumerate(values):
+        at[v] = at.get(v, 0) | 1 << p
+    return at
+
+
+def run_plan(plan, tokens, families) -> list:
+    """Every row of `plan` (`slots` rows; `symbol_slot`, `pred_slot` and
+    `steps` as in `_Plan`) on a non-empty token list. `families` maps each
+    family name to its (n, i) -> bool evaluator; a token without a slot is
+    skipped. Each step then computes its slot as `step(rows, full)`.
+    """
+    n = len(tokens)
+    full = (1 << n) - 1
+    rows = [0] * plan.slots
+    for sym, row in positions_of(tokens).items():
+        slot = plan.symbol_slot.get(sym)
+        if slot is not None:
+            rows[slot] = row
+    for fam, family in families.items():
+        row = 0
+        for i in range(1, n + 1):
+            if family(n, i):
+                row |= 1 << (i - 1)
+        rows[plan.pred_slot[fam]] = row
+    for slot, step in plan.steps:
+        rows[slot] = step(rows, full)
+    return rows
+
+
 def eval(prog: BraspProgram, input_text, preds=None) -> Trace:
     """Run the program and return every vector row, bit-exactly.
 
@@ -524,25 +578,12 @@ def eval(prog: BraspProgram, input_text, preds=None) -> Trace:
     holds, and falls back to the default when none exists.
     """
     tokens = prog.alphabet.tokenize(input_text)
-    n = len(tokens)
-    if n == 0:
+    if not tokens:
         raise BraspError("empty input string")
     plan = _plan_for(prog)
-    full = (1 << n) - 1
-    rows = [0] * plan.slots
-    for p, t in enumerate(tokens):
-        rows[plan.symbol_slot[t]] |= 1 << p
-    if plan.pred_slot:
-        for fam, family in resolve_families(prog, preds).items():
-            r = 0
-            for i in range(1, n + 1):
-                if family(n, i):
-                    r |= 1 << (i - 1)
-            rows[plan.pred_slot[fam]] = r
-    mask_rows: dict = {}
-    for slot, step in plan.steps:
-        rows[slot] = step(rows, n, full, mask_rows)
-    return Trace(tokens, list(plan.names), dict(zip(plan.names, rows)), n)
+    families = resolve_families(plan.pred_slot, preds) if plan.pred_slot else {}
+    rows = run_plan(plan, tokens, families)
+    return Trace(tokens, list(plan.names), dict(zip(plan.names, rows)), len(tokens))
 
 
 def _plan_for(prog: BraspProgram) -> "_Plan":
@@ -555,13 +596,15 @@ def _plan_for(prog: BraspProgram) -> "_Plan":
 
 
 class _Plan:
-    """What evaluation needs of a program, worked out once.
+    """What evaluation needs of a program, worked out once, for `run_plan`.
 
     Every vector and predicate family gets a slot in one flat list of
-    bitmask rows: first the vectors in `names` order, then the families,
-    then one scratch slot per i-atom of each attention operation.
-    `steps` pairs each operation's slot with a callable
-    (rows, n, full, mask_rows) -> row, its expressions compiled to closures.
+    bitmask rows: first the vectors in `names` order, then the families
+    (`symbol_slot` and `pred_slot` give the slots of symbol indicators and
+    families), then one scratch slot per i-atom of each attention
+    operation. `steps` pairs each operation's slot with its step,
+    `step(rows, full) -> row`: a position-wise expression compiled by
+    `_compile`, or an `_AttentionStep`.
     """
 
     __slots__ = ("names", "slots", "symbol_slot", "pred_slot", "steps")
@@ -580,8 +623,7 @@ class _Plan:
         for op in prog.ops:
             body = op.body
             if isinstance(body, Positionwise):
-                fn = _compile(body.expr, row_of)
-                step = lambda rows, n, full, mask_rows, fn=fn: fn(rows, full)
+                step = _compile(body.expr, row_of)
             else:
                 step = _AttentionStep(body, row_of, self.slots)
                 self.slots += len(step.i_slots)
@@ -653,10 +695,8 @@ class _AttentionStep:
         self.value = _compile(body.value, read)
         self.default = _compile(body.default, row_of)
 
-    def __call__(self, rows: list, n: int, full: int, mask_rows: dict) -> int:
-        masks = mask_rows.get(self.mask)
-        if masks is None:
-            masks = mask_rows[self.mask] = [self.mask.row(i, n) for i in range(1, n + 1)]
+    def __call__(self, rows: list, full: int) -> int:
+        masks = self.mask.rows(full.bit_length())
         groups = [(full, ())]  # (positions, the scratch rows there)
         for s, _ in self.i_slots:
             r = rows[s]

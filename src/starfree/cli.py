@@ -229,14 +229,12 @@ def _diff_part(spec_a, spec_b, symbols, bound, part, parts):
     """Compare on the part-th of `parts` equal slices of every length's strings."""
     _, _, left = recognizer_spec(spec_a)
     _, _, right = recognizer_spec(spec_b)
-    join = all(len(s) == 1 for s in symbols)
     mismatches = []
     checked = 0
     for n in range(1, bound + 1):
         total = len(symbols) ** n
-        strings = itertools.product(symbols, repeat=n)
-        for tup in itertools.islice(strings, total * part // parts, total * (part + 1) // parts):
-            w = "".join(tup) if join else list(tup)
+        strings = testkit.strings_over(symbols, n, n)
+        for w in itertools.islice(strings, total * part // parts, total * (part + 1) // parts):
             checked += 1
             a, b = bool(left(w)), bool(right(w))
             if a != b:

@@ -42,13 +42,10 @@ from .brasp import (
     Attention,
     BraspOp,
     BraspProgram,
-    MaskKind,
     Positionwise,
-    Transduce,
     qname,
 )
 from .exact import HALF, ONE, ZERO
-from .normalform import SCORE_ATOM_CAP
 from .predicates import ScalarKey, bind_pe_as_predicates, family_tuple_pe, lookup_code, pe_bit_coding
 from .transformer import (
     AttentionHead,
@@ -101,9 +98,9 @@ def decompose_score(score: Expr) -> ScoreDecomposition:
     query_atoms = tuple(bx.atoms_at(score, "i"))
     key_atoms = tuple(bx.atoms_at(score, "j"))
     all_atoms = query_atoms + key_atoms
-    if len(all_atoms) > SCORE_ATOM_CAP:
+    if len(all_atoms) > normalform.SCORE_ATOM_CAP:
         raise CompileError(
-            f"score has {len(all_atoms)} atoms; cap is {SCORE_ATOM_CAP}"
+            f"score of {len(all_atoms)} atoms exceeds SCORE_ATOM_CAP ({normalform.SCORE_ATOM_CAP})"
         )
     conjuncts = []
     for bits in range(1 << len(all_atoms)):
@@ -151,8 +148,8 @@ def ffn_from_writes(width: int, writes: dict) -> FeedForward:
         supp = sorted(expr_support(expr))
         if len(supp) > FFN_SUPPORT_CAP:
             raise CompileError(
-                f"feed-forward support for coordinate {c} has {len(supp)} inputs; "
-                f"cap is {FFN_SUPPORT_CAP}"
+                f"feed-forward support of {len(supp)} inputs for coordinate {c} "
+                f"exceeds FFN_SUPPORT_CAP ({FFN_SUPPORT_CAP})"
             )
         for bits in range(1 << len(supp)):
             assign = {supp[k]: bool(bits >> k & 1) for k in range(len(supp))}
@@ -184,7 +181,7 @@ def _pipeline(prog: BraspProgram) -> BraspProgram:
 def _program_pe(prog: BraspProgram, preds=None):
     if not prog.predicate_families:
         return None
-    families = bm.resolve_families(prog, preds)
+    families = bm.resolve_families(prog.predicate_families, preds)
     ordered = [families[name] for name in prog.predicate_families]
     return family_tuple_pe(ordered)
 
@@ -611,7 +608,7 @@ def enumerate_value_set(model: Transformer) -> list:
             total *= len(opts)
         if total > CANDIDATE_CAP:
             raise CompileError(
-                f"value-set enumeration needs {total} candidates (cap {CANDIDATE_CAP})"
+                f"value-set enumeration of {total} candidates exceeds CANDIDATE_CAP ({CANDIDATE_CAP})"
             )
         outs = [
             tuple(layer.step(x, combo)[2]) for x in prev for combo in itertools.product(*opts_per_head)
@@ -811,7 +808,9 @@ def _decompile_layer(dec: _Decompiler, ell: int):
         vsupp = sorted({c for _r, c, _v in head.value_sparse.entries})
         iprojs, jprojs = projections(isupp), projections(jsupp)
         if len(iprojs) * len(jprojs) > PAIR_CAP:
-            raise CompileError("score pair enumeration exceeds cap")
+            raise CompileError(
+                f"score pair enumeration of {len(iprojs) * len(jprojs)} pairs exceeds PAIR_CAP ({PAIR_CAP})"
+            )
         # Every (i-projection, j-projection) pair: its match expression and its score.
         jside = [(dec.proj_match(ell - 1, jsupp, q, "j"), _spread(model.width, jsupp, q)) for q in jprojs]
         pairs = []
@@ -928,7 +927,9 @@ def _decompile_layer(dec: _Decompiler, ell: int):
         for ops_ in opt_projs:
             total *= len(ops_)
         if total > PAIR_CAP:
-            raise CompileError("combination enumeration exceeds cap")
+            raise CompileError(
+                f"combination enumeration of {total} combinations exceeds PAIR_CAP ({PAIR_CAP})"
+            )
 
         outcomes = []
         for xp in xprojs:

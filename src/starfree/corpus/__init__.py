@@ -8,13 +8,13 @@ translation in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 from typing import Callable, Optional
 
 from .. import automata, brasp, ltl, testkit
-from ..brasp import Alphabet, Attention, BraspOp, BraspProgram, MaskKind, Positionwise
+from ..brasp import Alphabet, Attention, BraspOp, BraspProgram, MaskKind
 from ..testkit import LanguageOracle
 
 

@@ -8,13 +8,13 @@ the mirror image. The primed variants allow j = i and extend the interior
 requirement up to the current position.
 
 Evaluation flattens a formula DAG once, on its first evaluation, into a
-postorder list of steps, one slot per distinct node, plus the list of its
-predicate families. The plan is kept in a weak-keyed table, so it neither
-keeps a formula alive nor travels with it when pickled. Each call computes
-the predicate rows afresh and then one bitmask row per step; `since` and
-`until` are one linear scan each (the non-strict operator holds at k when
-its right side holds at k, or its left side holds at k and it held at the
-neighbour; the strict one is the non-strict one read one position late).
+plan for `brasp.run_plan`, the runner programs use too: one bitmask-row
+slot per distinct node, Boolean nodes compiled to the same closures as
+program expressions, and one doubling scan per `since`/`until`. The plan
+is kept in a weak-keyed table, so it neither keeps a formula alive nor
+travels with it when pickled; predicate rows are computed on every call.
+Evaluation never goes through `ltl_to_brasp`, so comparing a formula with
+its translation compares two independent semantics.
 
 Translations to and from Boolean-vector programs live here as well, in both
 the strict and non-strict dialects.
@@ -182,144 +182,108 @@ def is_strict_only(f: Formula) -> bool:
 
 
 _PLANS = weakref.WeakKeyDictionary()  # formula -> its _FormulaPlan
-_LIT, _ATOM, _PRED, _NOT, _AND, _OR, _SINCE, _UNTIL = range(8)  # step kinds
 
 
 class _FormulaPlan:
-    """A formula DAG flattened once into postorder steps.
+    """A formula DAG flattened once into postorder steps, for `brasp.run_plan`.
 
-    Step k computes row k from earlier rows: (kind, a, b), where a and b are
-    a symbol, a family name, a truth value or earlier slots, by kind. The
-    last step is the formula itself. `families` lists its predicate
-    families, whose rows are computed per call.
+    Every distinct node gets a slot, an atom its symbol's or family's row. A
+    Boolean node is compiled by `brasp._compile`, its atoms named by the
+    slots of its arguments; since/until are one `_temporal_step` each.
     """
 
-    __slots__ = ("steps", "families")
+    __slots__ = ("slots", "symbol_slot", "pred_slot", "steps", "root")
 
     def __init__(self, f: Formula):
-        slot: dict = {}  # id(node) -> slot
+        self.slots = 0
+        self.symbol_slot: dict = {}
+        self.pred_slot: dict = {}
         self.steps: list = []
-        self.families: list = []
+        slot: dict = {}  # id(node) -> slot
+
+        def boolean(expr: bx.Expr):
+            return brasp._compile(expr, lambda atom: atom.name)
 
         def visit(g) -> int:
-            hit = slot.get(id(g))
-            if hit is not None:
-                return hit
-            if isinstance(g, Lit):
-                step = (_LIT, g.value, None)
-            elif isinstance(g, Atom):
-                step = (_ATOM, g.symbol, None)
+            if id(g) in slot:
+                return slot[id(g)]
+            if isinstance(g, Atom):
+                k = self.symbol_slot.setdefault(g.symbol, self.slots)
             elif isinstance(g, PredAtom):
-                if g.family not in self.families:
-                    self.families.append(g.family)
-                step = (_PRED, g.family, None)
-            elif isinstance(g, NotF):
-                step = (_NOT, visit(g.arg), None)
-            elif isinstance(g, (AndF, OrF)):
-                step = (_AND if isinstance(g, AndF) else _OR, tuple(visit(a) for a in g.args), None)
-            elif isinstance(g, (Since, Until)):
-                kind = _SINCE if isinstance(g, Since) else _UNTIL
-                step = (kind, (visit(g.lhs), visit(g.rhs)), g.strict)
+                k = self.pred_slot.setdefault(g.family, self.slots)
             else:
-                raise LtlError(f"unknown formula node {g!r}")
-            slot[id(g)] = len(self.steps)
-            self.steps.append(step)
-            return slot[id(g)]
+                if isinstance(g, Lit):
+                    step = boolean(bx.Const(g.value))
+                elif isinstance(g, NotF):
+                    step = boolean(bx.Not(bx.Var(visit(g.arg))))
+                elif isinstance(g, (AndF, OrF)):
+                    args = tuple(bx.Var(visit(a)) for a in g.args)
+                    step = boolean((bx.And if isinstance(g, AndF) else bx.Or)(args))
+                elif isinstance(g, (Since, Until)):
+                    step = _temporal_step(visit(g.lhs), visit(g.rhs), isinstance(g, Since), g.strict)
+                else:
+                    raise LtlError(f"unknown formula node {g!r}")
+                k = self.slots
+                self.steps.append((k, step))
+            if k == self.slots:  # a new slot
+                self.slots += 1
+            slot[id(g)] = k
+            return k
 
-        visit(f)
+        self.root = visit(f)
 
 
-def _plan_for(f: Formula) -> _FormulaPlan:
+def _temporal_step(lhs: int, rhs: int, since_: bool, strict: bool):
+    """The step computing `lhs S rhs` (or `U` when not `since_`) from their rows.
+
+    Non-strict since holds at k when rhs holds at k, or lhs holds at k and
+    it held at k - 1. The scan solves that recurrence by doubling: after
+    the round with shift s, `hold` marks where it holds counting only the
+    last 2s positions, and `through` where lhs holds at all of them. Strict
+    since at k is non-strict since at k - 1; until is the mirror image.
+    """
+    def step(rows: list, full: int) -> int:
+        through, hold = rows[lhs], rows[rhs]
+        n, s = full.bit_length(), 1
+        while s < n:
+            if since_:
+                hold |= through & (hold << s)
+                through &= through << s
+            else:
+                hold |= through & (hold >> s)
+                through &= through >> s
+            s <<= 1
+        if strict:
+            hold = (hold << 1) & full if since_ else hold >> 1
+        return hold
+
+    return step
+
+
+def _row(f: Formula, input_text, preds, alphabet: Optional[Alphabet]) -> tuple:
+    """The formula's truth value at every position as a bitmask row, and the input length."""
+    tokens = alphabet.tokenize(input_text) if alphabet is not None else list(input_text)
+    if not tokens:
+        raise LtlError("empty input string")
     plan = _PLANS.get(f)
     if plan is None:
         plan = _PLANS[f] = _FormulaPlan(f)
-    return plan
-
-
-def _row(f: Formula, tokens: list, preds=None) -> int:
-    """The formula's truth value at every position, as a bitmask row."""
-    from . import predicates as predmod
-
-    plan = _plan_for(f)
-    n = len(tokens)
-    full = (1 << n) - 1
-    symbol_rows: dict = {}
-    for p, t in enumerate(tokens):
-        symbol_rows[t] = symbol_rows.get(t, 0) | (1 << p)
-    pred_rows = {}
-    for fam in plan.families:
-        family = (preds or {}).get(fam) or predmod.lookup(fam)
-        if family is None:
-            raise LtlError(f"unbound predicate family {fam!r}")
-        row = 0
-        for i in range(1, n + 1):
-            if family(n, i):
-                row |= 1 << (i - 1)
-        pred_rows[fam] = row
-    bits = [1 << k for k in range(n)]
-    rows: list = []
-    for kind, a, b in plan.steps:
-        if kind == _ATOM:
-            row = symbol_rows.get(a, 0)
-        elif kind == _NOT:
-            row = full ^ rows[a]
-        elif kind == _AND:
-            row = full
-            for k in a:
-                row &= rows[k]
-        elif kind == _OR:
-            row = 0
-            for k in a:
-                row |= rows[k]
-        elif kind == _SINCE:
-            # non-strict: holds at k iff rhs holds at k, or lhs holds at k and it held at k - 1
-            row = _scan(rows[a[0]], rows[a[1]], bits)
-            if b:  # strict since at k is non-strict since at k - 1
-                row = (row << 1) & full
-        elif kind == _UNTIL:
-            row = _scan(rows[a[0]], rows[a[1]], reversed(bits))
-            if b:
-                row >>= 1
-        elif kind == _PRED:
-            row = pred_rows[a]
-        else:  # _LIT
-            row = full if a else 0
-        rows.append(row)
-    return rows[-1]
-
-
-def _scan(lhs: int, rhs: int, bits) -> int:
-    """Non-strict since (or until, on reversed bits): one pass along `bits`."""
-    row = hold = 0
-    for bit in bits:
-        hold = rhs & bit or (hold and lhs & bit)
-        if hold:
-            row |= bit
-    return row
-
-
-def _tokens(input_text, alphabet: Optional[Alphabet]) -> list:
-    if alphabet is not None:
-        return alphabet.tokenize(input_text)
-    return list(input_text)
+    families = brasp.resolve_families(plan.pred_slot, preds)
+    return brasp.run_plan(plan, tokens, families)[plan.root], len(tokens)
 
 
 def ltl_eval(f: Formula, input_text, i: int, preds=None, alphabet=None) -> bool:
     """Whether the formula holds at position i (1-based) of the input."""
-    tokens = _tokens(input_text, alphabet)
-    if not tokens:
-        raise LtlError("empty input string")
-    if not 1 <= i <= len(tokens):
-        raise LtlError(f"position {i} out of range 1..{len(tokens)}")
-    return bool(_row(f, tokens, preds) >> (i - 1) & 1)
+    row, n = _row(f, input_text, preds, alphabet)
+    if not 1 <= i <= n:
+        raise LtlError(f"position {i} out of range 1..{n}")
+    return bool(row >> (i - 1) & 1)
 
 
 def ltl_accepts(f: Formula, input_text, preds=None, alphabet=None) -> bool:
     """Language membership: evaluate at the last position."""
-    tokens = _tokens(input_text, alphabet)
-    if not tokens:
-        raise LtlError("empty input string")
-    return bool(_row(f, tokens, preds) >> (len(tokens) - 1) & 1)
+    row, n = _row(f, input_text, preds, alphabet)
+    return bool(row >> (n - 1) & 1)
 
 
 def temporal_depth(f: Formula) -> int:

@@ -100,8 +100,8 @@ def normalize_unary_score(prog: BraspProgram) -> BraspProgram:
             continue
         if len(query_atoms) > SCORE_ATOM_CAP:
             raise ValueError(
-                f"{op.name}: score reads {len(query_atoms)} query atoms "
-                f"(cap {SCORE_ATOM_CAP}); assignment sweep would not terminate sensibly"
+                f"{op.name}: score of {len(query_atoms)} query atoms "
+                f"exceeds SCORE_ATOM_CAP ({SCORE_ATOM_CAP})"
             )
         branches = []
         for bits in range(1 << len(query_atoms)):

@@ -9,9 +9,11 @@ can be traded for a finite collection of bit predicate families and back.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Optional
 
 import sympy
@@ -191,8 +193,6 @@ def sinusoidal_pe(frequencies) -> PositionEmbedding:
 
 def family_tuple_pe(families) -> PositionEmbedding:
     """Bundle predicate families into a 0/1-valued embedding, one coord each."""
-    from itertools import product
-
     fams = list(families)
 
     def func(n, i):
@@ -218,9 +218,6 @@ def pe_from_spec(spec: dict) -> PositionEmbedding:
             fams.append(fam)
         return family_tuple_pe(fams)
     raise ValueError(f"unknown position embedding kind {kind!r}")
-
-
-import functools
 
 
 @functools.total_ordering

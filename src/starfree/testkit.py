@@ -59,10 +59,12 @@ class DiffReport:
 
 
 def strings_over(alphabet, max_len: int, min_len: int = 1):
+    """Every string of length min_len..max_len, length-lexicographically: a
+    str over single-character symbols, a token list otherwise."""
     symbols = list(alphabet.symbols) if isinstance(alphabet, Alphabet) else list(alphabet)
+    word = "".join if all(len(s) == 1 for s in symbols) else list
     for n in range(min_len, max_len + 1):
-        for tup in itertools.product(symbols, repeat=n):
-            yield "".join(tup) if all(len(s) == 1 for s in symbols) else list(tup)
+        yield from map(word, itertools.product(symbols, repeat=n))
 
 
 def check_enumeration(symbols, bound: int, extra: int = 0) -> int:
@@ -187,10 +189,6 @@ def program_recognizer(prog: BraspProgram, preds=None) -> Callable:
 
 def formula_recognizer(f: ltl.Formula, preds=None, alphabet=None) -> Callable:
     return lambda w: ltl.ltl_accepts(f, w, preds, alphabet=alphabet)
-
-
-def dfa_recognizer(dfa) -> Callable:
-    return dfa.accepts
 
 
 def transformer_recognizer(model) -> Callable:

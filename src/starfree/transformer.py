@@ -30,19 +30,18 @@ does not depend on the input length (the property `enumerate_value_set`
 enumerates), so the evaluator numbers the distinct activation vectors of
 each level and computes each sublayer once per distinct input: a head's
 query and value once per state, its score once per (query, key state) pair,
-and the step from (state, the states each head attended to) through the
-value sum, layer norms and feed-forward net once per such pair. Only the
-argmax over positions is redone for every string; a head with no score
-entries scores every position 0, so it picks straight from the mask. The
-cache is built on
-first use and kept on the model when every position embedding is
-finite-image with rational values; rationals have one representation per
-value, so the cache then holds at most the enumerated value set. Other
-models (sinusoidal embeddings with algebraic values, or embeddings without
-a finite-image certificate) get a fresh cache for each call. The cache is
-never pickled or written to weight files. Sublayers are called by attribute
-lookup at every miss, so wrappers installed on a model's heads, feed-forward
-nets and layer norms see every computation the evaluator makes.
+and `TransformerLayer.step` once per (state, attended states) pair. Only the
+argmax over positions is redone for every string, on the bitmask rows of
+`brasp`: `positions_of` groups positions by state and `MaskKind.rows(n)`
+gives each query position's unmasked positions from a table kept per
+(mask, n). A head with no score entries picks straight from the mask, from
+`MaskKind.picks`. The cache is built on first use and kept on the model
+when every position embedding is finite-image with rational values, which
+have one representation per value, so it then holds at most the enumerated
+value set; other models get a fresh cache per call. It is never pickled or
+written to weight files. Sublayers are called by attribute lookup at every
+miss, so wrappers installed on a model's heads, feed-forward nets and layer
+norms see every computation the evaluator makes.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import exact
-from .brasp import Alphabet, MaskKind, LEFTMOST, RIGHTMOST
+from .brasp import Alphabet, MaskKind, LEFTMOST, RIGHTMOST, positions_of
 from .predicates import PositionEmbedding, ScalarKey, pe_from_spec
 
 
@@ -514,17 +513,10 @@ class _EvalCache:
         ids0 = [self.levels[0].intern(v) for v in model.embed(tokens)]
         ids = ids0
         layers = []
-        rows = {}  # mask -> per query position, the bitmask of unmasked positions
         for k, layer in enumerate(model.layers):
             level, nxt, steps = self.levels[k], self.levels[k + 1], self.steps[k]
-            at = {}  # state id -> bitmask of the positions holding it
-            for j, sid in enumerate(ids):
-                at[sid] = at.get(sid, 0) | 1 << j
-            choices = []
-            for head, hc in zip(layer.heads, self.heads[k]):
-                if head.mask not in rows:
-                    rows[head.mask] = [head.mask.row(i, n) for i in range(1, n + 1)]
-                choices.append(self._choose(head, hc, level, ids, at, rows[head.mask]))
+            at = positions_of(ids)  # state id -> bitmask of the positions holding it
+            choices = [self._choose(h, hc, level, ids, at, n) for h, hc in zip(layer.heads, self.heads[k])]
             attended = [[None if j is None else ids[j - 1] for j in c] for c in choices]
             results = []
             for key in zip(ids, zip(*attended)):
@@ -536,16 +528,15 @@ class _EvalCache:
             ids = [r[2] for r in results]
         return ids0, layers
 
-    def _choose(self, head, hc: _HeadCache, level: _Level, ids: list, at: dict, rows: list) -> list:
+    def _choose(self, head, hc: _HeadCache, level: _Level, ids: list, at: dict, n: int):
         """Per query position, the attended position (1-based) or None."""
         leftmost = head.tiebreak == LEFTMOST
         if not head.score_sparse.entries:
             # Every score is 0, so the argmax set is every unmasked position.
-            pick = (lambda row: (row & -row).bit_length()) if leftmost else int.bit_length
-            return [pick(row) if row else None for row in rows]
+            return head.mask.picks(n, leftmost)
         ranked = {}  # query id -> position bitmasks, one per distinct score, best first
         out = []
-        for sid, row in zip(ids, rows):
+        for sid, row in zip(ids, head.mask.rows(n)):
             if not row:
                 out.append(None)
                 continue
@@ -633,7 +624,7 @@ def run_transformer(model: Transformer, input_text) -> ActivationTrace:
     for (choices, results), level in zip(layers, cache.levels[1:]):
         trace_layers.append(
             LayerActivations(
-                choices,
+                [list(c) for c in choices],  # empty-score heads share a cached tuple
                 [list(att) for att, _, _ in results],
                 [list(ffn) for _, ffn, _ in results],
                 [list(level.states[sid]) for _, _, sid in results],

@@ -217,6 +217,13 @@ def test_mask_row_agrees_with_side_and_strictness():
                         allowed = (j < i) == mask.before
                     assert bool(row >> (j - 1) & 1) == allowed, (mask, n, i, j)
                 assert row >> n == 0
+            assert mask.rows(n) == tuple(mask.row(i, n) for i in range(1, n + 1)), (mask, n)
+            for leftmost in (True, False):
+                picks = [
+                    (min if leftmost else max)(j for j in range(1, n + 1) if row >> (j - 1) & 1) if row else None
+                    for row in mask.rows(n)
+                ]
+                assert list(mask.picks(n, leftmost)) == picks, (mask, n, leftmost)
 
 
 def _op_form_programs():

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -300,7 +301,7 @@ def test_short_value_matrix_is_rejected(fmt, tmp_path, capsys):
         value["entries"] = [e for e in value["entries"] if e[0] != last]
     path = _write(tmp_path, payload)
     with pytest.raises(tf.TransformerError, match="value matrix"):
-        tf.transformer_from_json(open(path).read())
+        tf.transformer_from_json(Path(path).read_text())
     assert main(["run-transformer", path, "--input", "llrr"]) == 2
     assert "value matrix" in capsys.readouterr().err
 
@@ -324,7 +325,7 @@ def test_malformed_weight_file_is_a_usage_error(corrupt, named, tmp_path, capsys
     corrupt(payload)
     path = _write(tmp_path, payload)
     with pytest.raises(tf.TransformerError, match=re.escape(named)):
-        tf.transformer_from_json(open(path).read())
+        tf.transformer_from_json(Path(path).read_text())
     assert main(["run-transformer", path, "--input", "llrr"]) == 2
     assert named in capsys.readouterr().err
 

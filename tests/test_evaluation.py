@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import pytest
 
-from starfree import compiler, corpus, ltl, testkit
+from starfree import brasp, compiler, corpus, ltl, testkit
 from starfree import transformer as tf
 from starfree.brasp import Alphabet, MaskKind
 from starfree.predicates import sinusoidal_pe
@@ -166,4 +166,44 @@ def test_heads_with_no_score_entries_pick_from_the_mask_alone():
         head.query = head.score_from_query = forbidden
     for w in testkit.strings_over(model.alphabet, 6):
         _assert_same_trace(model, w)
+    assert calls == []
+
+
+def test_traces_hand_out_fresh_choice_lists():
+    """Empty-score heads read their choices from a shared table; a trace gets copies."""
+    model = _compiled("dyck", "naive")
+    first = tf.run_transformer(model, "llrr")
+    want = [[list(c) for c in layer.choices] for layer in first.layers]
+    for layer in first.layers:
+        for c in layer.choices:
+            c[:] = [None] * len(c)
+    again = tf.run_transformer(model, "llrr")
+    assert [layer.choices for layer in again.layers] == want
+    assert all(type(c) is list for layer in again.layers for c in layer.choices)
+
+
+def test_a_second_pass_builds_no_mask_rows(monkeypatch):
+    model = _compiled("dyck", "naive")
+    prog = _programs()["dyck"]
+    words = list(testkit.strings_over(model.alphabet, 6))
+    calls = []
+    row = MaskKind.row
+
+    def counted(mask, i, n):
+        calls.append((mask, i, n))
+        return row(mask, i, n)
+
+    monkeypatch.setattr(MaskKind, "row", counted)
+    MaskKind.rows.cache_clear()
+    MaskKind.picks.cache_clear()
+
+    def one_pass():
+        for w in words:
+            tf.run_transformer(model, w)
+            brasp.eval(prog, w)
+
+    one_pass()
+    assert calls  # the first pass builds each (mask, n) table once
+    calls.clear()
+    one_pass()
     assert calls == []

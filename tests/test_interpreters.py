@@ -275,3 +275,16 @@ def test_formula_predicate_rows_are_computed_per_call():
     assert ltl.ltl_accepts(f, "ba", {"Mystery": FIRST}) is True
     assert ltl.ltl_accepts(f, "ba", {"Mystery": LAST}) is False
     assert ltl.ltl_accepts(f, "ba", {"Mystery": FIRST}) is True
+
+
+def test_formula_evaluation_never_goes_through_a_program(monkeypatch):
+    """Formula-vs-program diffs compare two semantics only while this holds."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("formula evaluated through ltl_to_brasp")
+
+    monkeypatch.setattr(ltl, "ltl_to_brasp", forbidden)
+    monkeypatch.setattr(brasp, "eval", forbidden)
+    for seed in FORMULA_SEEDS[:10]:
+        f = random_formula(seed)
+        for w in testkit.strings_over(AB, 4):
+            assert ltl.ltl_accepts(f, w) == brute_ltl_holds(f, w, len(w)), (seed, w)

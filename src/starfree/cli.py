@@ -14,7 +14,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import automata, brasp, compiler, corpus, ltl, testkit
 from . import transformer as tf
@@ -249,6 +248,8 @@ def cmd_diff(args) -> int:
     name_b, alpha_b, right = recognizer_spec(args.right)
     alphabet = _alphabet_from(args, alpha_a, alpha_b)
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         symbols = tuple(alphabet.symbols)
         testkit.check_enumeration(symbols, args.bound)
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -5,13 +5,17 @@ everything produced by the compilers (weights, activations, scores), and
 sympy expressions for algebraic values such as sin/cos of rational angles.
 Comparisons must be decided exactly, never by float rounding, because hard
 attention breaks ties by comparing scores for equality.
+
+sympy is imported only when a value needs it. A value can be a sympy
+expression only once sympy is loaded, so the type test looks the module up
+in `sys.modules` instead of importing it; only the sign of an algebraic
+value and a comparison of mixed types import sympy.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-
-import sympy
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -22,6 +26,12 @@ HALF = Fraction(1, 2)
 _RATIONAL = (int, Fraction)
 
 
+def _is_sympy(x) -> bool:
+    """Whether `x` is a sympy expression, without importing sympy."""
+    sympy = sys.modules.get("sympy")
+    return sympy is not None and isinstance(x, sympy.Expr)
+
+
 def as_exact(x):
     """Coerce ints, "p/q" strings, Fractions or sympy numbers to an exact scalar."""
     if isinstance(x, Fraction):
@@ -30,7 +40,7 @@ def as_exact(x):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
-    if isinstance(x, sympy.Expr):
+    if _is_sympy(x):
         if x.is_Rational:
             return Fraction(int(x.p), int(x.q))
         return x
@@ -59,6 +69,8 @@ def _sympy_sign(expr) -> int:
     Numeric evaluation is refined until the interval around the value
     excludes zero; exact simplification settles the remaining zero cases.
     """
+    import sympy
+
     if expr.is_zero:
         return 0
     for prec in (30, 60, 120, 240):
@@ -78,7 +90,7 @@ def _sympy_sign(expr) -> int:
 def sign(x) -> int:
     if type(x) in _RATIONAL or isinstance(x, _RATIONAL):
         return (x > 0) - (x < 0)
-    if isinstance(x, sympy.Expr):
+    if _is_sympy(x):
         return _sympy_sign(x)
     raise TypeError(f"unsupported scalar type: {type(x)!r}")
 
@@ -89,6 +101,8 @@ def compare(a, b) -> int:
         type(b) in _RATIONAL or isinstance(b, _RATIONAL)
     ):
         return (a > b) - (a < b)
+    import sympy
+
     return sign(sympy.sympify(a) - sympy.sympify(b))
 
 
@@ -106,4 +120,4 @@ def relu(x):
 def is_rational(x) -> bool:
     if isinstance(x, (Fraction, int)):
         return True
-    return isinstance(x, sympy.Expr) and bool(x.is_Rational)
+    return _is_sympy(x) and bool(x.is_Rational)

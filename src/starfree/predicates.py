@@ -5,18 +5,21 @@ pair; programs and formulas reference families by name. Position embeddings
 assign an exact vector to every (n, i); when the set of values over all
 lengths is finite (certified by a period or an explicit list), the embedding
 can be traded for a finite collection of bit predicate families and back.
+
+sympy is imported only when a value needs it: the exact sin/cos values
+behind sinusoidal embeddings and the `MOD` gadget. Building a sinusoidal
+embedding loads nothing; evaluating one does.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional
-
-import sympy
 
 from . import exact
 
@@ -154,6 +157,8 @@ def _sin_cos(freq: Fraction, i: int):
     key = (freq, i % freq.denominator)
     hit = _SIN_CACHE.get(key)
     if hit is None:
+        import sympy
+
         angle = 2 * sympy.pi * sympy.Rational(freq.numerator, freq.denominator) * key[1]
         hit = (exact.as_exact(sympy.sin(angle)), exact.as_exact(sympy.cos(angle)))
         _SIN_CACHE[key] = hit
@@ -174,10 +179,7 @@ def sinusoidal_pe(frequencies) -> PositionEmbedding:
         freqs.append(f)
     if not freqs:
         raise ValueError("need at least one frequency")
-    period = 1
-    for f in freqs:
-        period = sympy.lcm(period, f.denominator)
-    period = int(period)
+    period = math.lcm(*(f.denominator for f in freqs))
 
     def func(n, i):
         out = []
@@ -351,5 +353,7 @@ def mod_relu_gadget(r: int, m: int) -> FfnFragment:
     if isinstance(gap, Fraction):
         scale = Fraction(1) / gap
     else:
+        import sympy
+
         scale = exact.as_exact(sympy.simplify(1 / sympy.sympify(gap)))
     return FfnFragment(((sr, cr),), (-cos_step,), (scale,), Fraction(0), m, r)

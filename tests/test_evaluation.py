@@ -99,6 +99,15 @@ def test_sinusoidal_model_traces_match_naive_evaluator():
             _assert_same_trace(model, w)
 
 
+def test_sinusoidal_weight_file_round_trips_bit_for_bit():
+    model = _sinusoidal_model(F(1, 3))
+    text = tf.transformer_to_json(model)
+    loaded = tf.transformer_from_json(text)
+    assert tf.transformer_to_json(loaded) == text
+    for w in testkit.strings_over(model.alphabet, 6):
+        assert tf.run_transformer(loaded, w) == tf.run_transformer(model, w), w
+
+
 def test_cold_and_warm_cache_agree_in_either_order():
     words = [w for n in (3, 6) for w in testkit.strings_over(corpus.LR_ALPHABET, n, min_len=n)]
     forward = _compiled("dyck", "depth")

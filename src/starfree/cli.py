@@ -228,17 +228,14 @@ def _diff_part(spec_a, spec_b, symbols, bound, part, parts):
     """Compare on the part-th of `parts` equal slices of every length's strings."""
     _, _, left = recognizer_spec(spec_a)
     _, _, right = recognizer_spec(spec_b)
-    mismatches = []
-    checked = 0
-    for n in range(1, bound + 1):
-        total = len(symbols) ** n
-        strings = testkit.strings_over(symbols, n, n)
-        for w in itertools.islice(strings, total * part // parts, total * (part + 1) // parts):
-            checked += 1
-            a, b = bool(left(w)), bool(right(w))
-            if a != b:
-                mismatches.append((w, a, b))
-    return checked, mismatches
+
+    def strings():
+        for n in range(1, bound + 1):
+            total = len(symbols) ** n
+            of_length = testkit.strings_over(symbols, n, n)
+            yield from itertools.islice(of_length, total * part // parts, total * (part + 1) // parts)
+
+    return testkit.compare_on(left, right, strings())
 
 
 def cmd_diff(args) -> int:

@@ -6,11 +6,13 @@ one layer per position-wise operation and two layers per attention
 operation: the first layer's feed-forward net prepares query/key bits for a
 disjoint-conjunct score decomposition, a not-attended flag pair, and a
 folded value bit; the second layer attends with the bilinear score and
-resolves the flag. The depth-preserving construction instead builds one
-transformer per operation by parallel-composing the transformers of its
-dependencies, fusing position-wise work into the top feed-forward network,
-and adding a single attention layer per nesting level, so layer depth
-equals attention depth.
+resolves the flag. The depth-preserving construction instead lays the model
+out once, before building it: each operation's layout places its
+dependencies' layouts side by side, fuses position-wise work into the
+unlowered writes of the top feed-forward network, and adds a single
+attention layer per nesting level, so layer depth equals attention depth.
+The model is built from the final layout, each feed-forward network lowered
+a single time.
 
 Transformer to program rests on the finite-image property: without position
 embeddings (or with finite-image ones), all scores and activation
@@ -54,10 +56,9 @@ from .transformer import (
     SparseMatrix,
     Transformer,
     TransformerLayer,
+    _shift_head,
     identity_layer,
     output_rule,
-    parallel_compose,
-    widen,
 )
 
 FFN_SUPPORT_CAP = 20
@@ -348,13 +349,9 @@ def compile_naive(prog: BraspProgram, preds=None) -> Transformer:
 # Depth-preserving compilation
 
 
-@dataclass
-class _Sim:
-    """A transformer simulating one vector, plus fusion bookkeeping."""
-
-    model: Transformer
-    coord: int
-    top_writes: dict  # symbolic writes of the top layer's FFN
+def _shift_expr(expr: Expr, offset: int) -> Expr:
+    """Move every coordinate atom up by `offset`."""
+    return bx.substitute(expr, {a: catom(_coord_of_atom(a) + offset, a.pos) for a in bx.atoms(expr)})
 
 
 def _subst_post(expr: Expr, top_writes: dict) -> Expr:
@@ -367,66 +364,101 @@ def _subst_post(expr: Expr, top_writes: dict) -> Expr:
     return bx.substitute(expr, mapping)
 
 
-def _fuse_writes(sim_model: Transformer, top_writes: dict, new_writes: dict) -> tuple:
-    """Merge new symbolic writes (over post-FFN values) into the top layer.
+# The empty head that padding adds: zero coordinates wide, so placed in a
+# model of any width it scores nothing and adds nothing.
+_EMPTY_HEAD = identity_layer(0).heads[0]
 
-    Depth zero folds into the embedding; otherwise the top FFN is relowered
-    from the combined symbolic writes. Returns (model, combined writes).
+
+@dataclass
+class _Sim:
+    """The layout of a transformer simulating one vector, before it is built.
+
+    Each of `layers` is a pair (heads, writes): `heads` lists (head, offset)
+    pairs, the head's coordinates starting at `offset` in the model, and
+    `writes` is the layer's feed-forward net as the unlowered
+    `{coord: expr}` updates that `ffn_from_writes` takes. `coord` holds the
+    simulated vector.
     """
-    if sim_model.depth == 0:
-        if sim_model.position_embeddings:
-            raise CompileError(
-                "cannot fuse position-dependent writes into a word embedding"
+
+    width: int
+    embedding: dict  # symbol -> vector of `width` scalars
+    layers: list
+    coord: Optional[int] = None
+
+    def grow(self, extra: int) -> int:
+        """Append `extra` coordinates that start at zero; returns the first."""
+        first = self.width
+        self.width += extra
+        self.embedding = {sym: vec + (ZERO,) * extra for sym, vec in self.embedding.items()}
+        return first
+
+    def place(self, part: "_Sim") -> int:
+        """Lay `part` out after the current coordinates; returns its offset.
+
+        This is `parallel_compose`'s layout: the shallower side is padded on
+        top with layers of one empty head and no writes, and each layer has
+        this side's heads followed by the part's.
+        """
+        off = self.width
+        self.layers += [([(_EMPTY_HEAD, 0)], {}) for _ in range(len(self.layers), len(part.layers))]
+        for k, (heads, writes) in enumerate(self.layers):
+            part_heads, part_writes = part.layers[k] if k < len(part.layers) else ([(_EMPTY_HEAD, 0)], {})
+            heads += [(head, o + off) for head, o in part_heads]
+            writes.update({c + off: _shift_expr(e, off) for c, e in part_writes.items()})
+        self.width += part.width
+        self.embedding = {sym: vec + part.embedding[sym] for sym, vec in self.embedding.items()}
+        return off
+
+    def fuse(self, writes: dict):
+        """Set coordinates to `writes`, exprs over the current output.
+
+        At depth zero the values fold into the embedding; otherwise they
+        join the top feed-forward net's writes, read through them.
+        """
+        if not self.layers:
+            for sym, vec in self.embedding.items():
+                new = list(vec)
+                for c, expr in writes.items():
+                    new[c] = ONE if eval_coord_expr(expr, vec) else ZERO
+                self.embedding[sym] = tuple(new)
+            return
+        top = self.layers[-1][1]
+        top.update({c: _subst_post(e, top) for c, e in writes.items()})
+
+    def build(self, alphabet: Alphabet) -> Transformer:
+        """The accepting model: every head placed and every feed-forward net lowered once."""
+        layers = [
+            TransformerLayer(
+                [_shift_head(head, off, self.width) for head, off in heads],
+                ffn_from_writes(self.width, writes),
             )
-        embedding = {}
-        for sym, vec in sim_model.embedding.items():
-            new = list(vec)
-            for c, expr in new_writes.items():
-                new[c] = ONE if eval_coord_expr(expr, vec) else ZERO
-            embedding[sym] = tuple(new)
-        model = Transformer(
-            sim_model.width, sim_model.alphabet, embedding, [], None,
-            sim_model.position_embeddings,
-        )
-        return model, {}
-    combined = dict(top_writes)
-    for c, expr in new_writes.items():
-        combined[c] = _subst_post(expr, top_writes)
-    top = sim_model.layers[-1]
-    new_top = TransformerLayer(top.heads, ffn_from_writes(sim_model.width, combined))
-    model = Transformer(
-        sim_model.width,
-        sim_model.alphabet,
-        sim_model.embedding,
-        list(sim_model.layers[:-1]) + [new_top],
-        None,
-        sim_model.position_embeddings,
-    )
-    return model, combined
+            for heads, writes in self.layers
+        ]
+        output = _accept_output(self.width, self.coord)
+        return Transformer(self.width, alphabet, self.embedding, layers, output, ())
 
 
 def compile_depth_preserving(prog: BraspProgram) -> Transformer:
     """Layer depth equals the program's attention depth.
 
-    Builds one transformer per operation: dependencies are parallel-composed
-    (multi-head, block feed-forward nets), position-wise work is fused into
-    the top feed-forward network (or the embedding at depth zero), and each
-    attention operation adds exactly one layer. Programs with predicate
-    families are not supported here; use the naive compiler for those.
+    Lays the model out first, one `_Sim` per operation: its dependencies'
+    layouts sit side by side (multi-head layers and block feed-forward nets,
+    as in `parallel_compose`), position-wise work joins the top layer's
+    writes (or the embedding at depth zero), and each attention operation
+    adds exactly one layer. The model is then built once, lowering each
+    layer's feed-forward net a single time. Programs with predicate families
+    are not supported here; use the naive compiler for those.
     """
     src = _pipeline(prog)
     if src.predicate_families:
         raise CompileError(
             "depth-preserving compilation does not support predicate families"
         )
+    if not isinstance(src.output, Accept):
+        raise CompileError("depth-preserving compilation needs an accepting program")
     alphabet = src.alphabet
     nsym = len(alphabet.symbols)
-
-    def base_sim() -> tuple:
-        model = Transformer(nsym, alphabet, _one_hot_embedding(alphabet, nsym), [], None, ())
-        qcoords = {qname(s): k for k, s in enumerate(alphabet.symbols)}
-        return model, qcoords
-
+    qcoords = {qname(s): k for k, s in enumerate(alphabet.symbols)}
     ops_by_name = {op.name: op for op in src.ops}
     sims: dict = {}
 
@@ -437,39 +469,11 @@ def compile_depth_preserving(prog: BraspProgram) -> Transformer:
                 out.append(a.name)
         return out
 
-    def compose(parts: list) -> tuple:
-        """parallel-compose [(model, top_writes, coordmap)] triples.
-
-        A part that gets padded with identity layers no longer writes
-        anything in the composed top layer, so only parts at the full depth
-        contribute their top-layer writes.
-        """
-        depth = max(p[0].depth for p in parts)
-        model = None
-        offset = 0
-        merged = {}
-        out_writes = {}
-        for part_model, part_writes, part_map in parts:
-            model = part_model if model is None else parallel_compose(model, part_model)
-            merged.update({k: v + offset for k, v in part_map.items()})
-            if part_model.depth == depth:
-                for c, e in part_writes.items():
-                    out_writes[c + offset] = _shift_expr(e, offset)
-            offset = model.width
-        return model, out_writes, merged
-
-    def _shift_expr(expr: Expr, offset: int) -> Expr:
-        mapping = {}
-        for a in bx.atoms(expr):
-            mapping[a] = catom(_coord_of_atom(a) + offset, a.pos)
-        return bx.substitute(expr, mapping)
-
     def build(name: str) -> _Sim:
         hit = sims.get(name)
         if hit is not None:
             return hit
-        op = ops_by_name[name]
-        body = op.body
+        body = ops_by_name[name].body
         exprs = (
             [body.expr]
             if isinstance(body, Positionwise)
@@ -480,13 +484,11 @@ def compile_depth_preserving(prog: BraspProgram) -> Transformer:
             for d in dep_names(e):
                 if d not in deps:
                     deps.append(d)
-        parts = []
-        base_model, qmap = base_sim()
-        parts.append((base_model, {}, qmap))
+        sim = _Sim(nsym, _one_hot_embedding(alphabet, nsym), [])
+        coordmap = dict(qcoords)
         for d in deps:
-            s = build(d)
-            parts.append((s.model, s.top_writes, {d: s.coord}))
-        model, top_writes, coordmap = compose(parts)
+            dep = build(d)
+            coordmap[d] = sim.place(dep) + dep.coord
 
         def to_coords(expr, force_pos=None):
             return _coord_expr(expr, coordmap, {}, force_pos)
@@ -495,45 +497,24 @@ def compile_depth_preserving(prog: BraspProgram) -> Transformer:
         if dec is None or not dec.conjuncts:
             # Position-wise, or a score that never holds, so the default wins.
             expr = body.expr if dec is None else body.default
-            out = model.width
-            model, top_writes = _fuse_writes(widen(model, 1), top_writes, {out: to_coords(expr)})
+            sim.coord = sim.grow(1)
+            sim.fuse({sim.coord: to_coords(expr)})
         else:
-            base = model.width
-            out = base + _gadget_width(dec)
-            model = widen(model, _gadget_width(dec) + 1)
-            writes, head, answer, _labels = _attention_gadget(body, dec, base, model.width, to_coords)
-            model, _ = _fuse_writes(model, top_writes, writes)
-            top_writes = {out: answer}
-            top = TransformerLayer([head], ffn_from_writes(model.width, top_writes))
-            model = Transformer(
-                model.width,
-                model.alphabet,
-                model.embedding,
-                (*model.layers, top),
-                None,
-                model.position_embeddings,
-            )
-        sim = _Sim(model, out, top_writes)
+            base = sim.grow(_gadget_width(dec) + 1)
+            sim.coord = base + _gadget_width(dec)
+            writes, head, answer, _labels = _attention_gadget(body, dec, base, sim.width, to_coords)
+            sim.fuse(writes)
+            sim.layers.append(([(head, 0)], {sim.coord: answer}))
         sims[name] = sim
         return sim
 
-    if not isinstance(src.output, Accept):
-        raise CompileError("depth-preserving compilation needs an accepting program")
     out_name = src.output.vector
-    if out_name not in ops_by_name:
-        # Output is an initial vector; wrap it in a copy so there is an op.
-        sim_model, qmap = base_sim()
-        sim = _Sim(sim_model, qmap[out_name], {})
-    else:
+    if out_name in ops_by_name:
         sim = build(out_name)
-    model = Transformer(
-        sim.model.width,
-        sim.model.alphabet,
-        sim.model.embedding,
-        sim.model.layers,
-        _accept_output(sim.model.width, sim.coord),
-        sim.model.position_embeddings,
-    )
+    else:
+        # Output is an initial vector: the embedding alone simulates it.
+        sim = _Sim(nsym, _one_hot_embedding(alphabet, nsym), [], qcoords[out_name])
+    model = sim.build(alphabet)
     model.coord_of = {out_name: sim.coord}
     model.source_program = src
     return model

@@ -96,11 +96,18 @@ def sign(x) -> int:
 
 
 def compare(a, b) -> int:
-    """Three-way exact comparison, -1 / 0 / +1."""
+    """Three-way exact comparison, -1 / 0 / +1.
+
+    Operands are ints, Fractions or sympy expressions; any other type,
+    floats and strings included, raises TypeError, as in `sign`.
+    """
     if (type(a) in _RATIONAL or isinstance(a, _RATIONAL)) and (
         type(b) in _RATIONAL or isinstance(b, _RATIONAL)
     ):
         return (a > b) - (a < b)
+    for x in (a, b):
+        if not (isinstance(x, _RATIONAL) or _is_sympy(x)):
+            raise TypeError(f"unsupported scalar type: {type(x)!r}")
     import sympy
 
     return sign(sympy.sympify(a) - sympy.sympify(b))

@@ -84,14 +84,23 @@ def diff_languages(left, right, alphabet, bound: int, names=("left", "right")) -
     """Exhaustively compare two recognizers on all strings of length 1..bound."""
     symbols = tuple(alphabet.symbols) if isinstance(alphabet, Alphabet) else tuple(alphabet)
     check_enumeration(symbols, bound)
+    checked, mismatches = compare_on(left, right, strings_over(symbols, bound))
+    return DiffReport(names[0], names[1], symbols, bound, checked, mismatches)
+
+
+def compare_on(left, right, strings) -> tuple:
+    """Run both recognizers on each string, in order.
+
+    Returns (strings checked, mismatches as (string, left, right) verdicts).
+    """
     mismatches = []
     checked = 0
-    for w in strings_over(symbols, bound):
+    for w in strings:
         checked += 1
         a, b = bool(left(w)), bool(right(w))
         if a != b:
             mismatches.append((w, a, b))
-    return DiffReport(names[0], names[1], symbols, bound, checked, mismatches)
+    return checked, mismatches
 
 
 @dataclass(frozen=True)

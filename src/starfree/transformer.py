@@ -682,22 +682,16 @@ def _shift_head(head: AttentionHead, offset: int, total: int) -> AttentionHead:
     )
 
 
-def _stack_layer(heads1, ffn1: FeedForward, heads2, ffn2: FeedForward) -> TransformerLayer:
+def _stack_layer(layer1: TransformerLayer, layer2: TransformerLayer) -> TransformerLayer:
     """Side-by-side layer: the second part's coordinates follow the first's."""
+    ffn1, ffn2 = layer1.ffn, layer2.ffn
     d1, d2 = ffn1.width, ffn2.width
     h1, h2 = ffn1.hidden, ffn2.hidden
-    heads = [_shift_head(h, 0, d1 + d2) for h in heads1]
-    heads += [_shift_head(h, d1, d1 + d2) for h in heads2]
+    heads = [_shift_head(h, 0, d1 + d2) for h in layer1.heads]
+    heads += [_shift_head(h, d1, d1 + d2) for h in layer2.heads]
     w1 = _place_blocks(h1 + h2, d1 + d2, [(ffn1.w1_sparse, 0, 0), (ffn2.w1_sparse, h1, d1)])
     w2 = _place_blocks(d1 + d2, h1 + h2, [(ffn1.w2_sparse, 0, 0), (ffn2.w2_sparse, d1, h1)])
     return TransformerLayer(heads, FeedForward(w1, ffn1.b1 + ffn2.b1, w2, ffn1.b2 + ffn2.b2))
-
-
-def _reject_layer_norm(models, what: str):
-    for t in models:
-        for layer in t.layers:
-            if layer.ln_att is not None or layer.ln_ffn is not None:
-                raise TransformerError(f"{what} does not support layer norm")
 
 
 def parallel_compose(t1: Transformer, t2: Transformer) -> Transformer:
@@ -710,12 +704,14 @@ def parallel_compose(t1: Transformer, t2: Transformer) -> Transformer:
     """
     if t1.alphabet.symbols != t2.alphabet.symbols:
         raise TransformerError("alphabet mismatch")
-    _reject_layer_norm((t1, t2), "parallel composition")
+    for layer in t1.layers + t2.layers:
+        if layer.ln_att is not None or layer.ln_ffn is not None:
+            raise TransformerError("parallel composition does not support layer norm")
     d1, d2 = t1.width, t2.width
     depth = max(t1.depth, t2.depth)
     layers1 = list(t1.layers) + [identity_layer(d1) for _ in range(depth - t1.depth)]
     layers2 = list(t2.layers) + [identity_layer(d2) for _ in range(depth - t2.depth)]
-    new_layers = [_stack_layer(l1.heads, l1.ffn, l2.heads, l2.ffn) for l1, l2 in zip(layers1, layers2)]
+    new_layers = [_stack_layer(l1, l2) for l1, l2 in zip(layers1, layers2)]
     embedding = {
         sym: t1.embedding[sym] + t2.embedding[sym]
         for sym in t1.alphabet.symbols
@@ -724,20 +720,6 @@ def parallel_compose(t1: Transformer, t2: Transformer) -> Transformer:
         (pe, off + d1) for pe, off in t2.position_embeddings
     ]
     return Transformer(d1 + d2, t1.alphabet, embedding, new_layers, None, tuple(pes))
-
-
-def widen(model: Transformer, extra: int) -> Transformer:
-    """Append `extra` coordinates that no layer reads or writes.
-
-    Layer count and heads are unchanged; the output layer is dropped and
-    layer norm is not supported, as in `parallel_compose`.
-    """
-    _reject_layer_norm((model,), "widening")
-    layers = [_stack_layer(layer.heads, layer.ffn, [], FeedForward.zero(extra)) for layer in model.layers]
-    embedding = {sym: vec + (0,) * extra for sym, vec in model.embedding.items()}
-    return Transformer(
-        model.width + extra, model.alphabet, embedding, layers, None, model.position_embeddings
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,19 @@ def test_ffn_support_cap(monkeypatch):
         compiler.ffn_from_writes(4, {3: expr})
 
 
+def test_ffn_support_cap_in_depth_preserving_compilation(tmp_path, monkeypatch, capsys):
+    prog = corpus.dyck_program()
+    width = compiler.compile_depth_preserving(prog).width
+    monkeypatch.setattr(compiler, "FFN_SUPPORT_CAP", 1)
+    with pytest.raises(compiler.CompileError, match=r"for coordinate (\d+) " + _named("FFN_SUPPORT_CAP", 1)) as err:
+        compiler.compile_depth_preserving(prog)
+    assert int(re.search(r"coordinate (\d+)", str(err.value)).group(1)) < width
+    source = tmp_path / "dyck_program"
+    source.write_text(brasp.program_to_text(prog))
+    assert main(["compile", str(source), "--mode", "depth", "-o", str(tmp_path / "weights")]) == 2
+    assert "exceeds FFN_SUPPORT_CAP (1)" in capsys.readouterr().err
+
+
 def test_candidate_cap(monkeypatch, parity_naive):
     monkeypatch.setattr(compiler, "CANDIDATE_CAP", 1)
     with pytest.raises(compiler.CompileError, match=r"of \d+ candidates " + _named("CANDIDATE_CAP", 1)):

@@ -1,5 +1,6 @@
 """Program-to-transformer compilation, both constructions."""
 
+import hashlib
 import itertools
 import random
 
@@ -234,6 +235,80 @@ def test_depth_preserving_simulates_output_vector():
         coord = model.coord_of["Y"]
         for i in range(1, trace.n + 1):
             assert final[i - 1][coord] == trace.value("Y", i)
+
+
+# sha256 of each program's depth-preserving weight file: the construction's
+# layout, down to head order and hidden-unit order, must not drift. Keys are
+# corpus programs, the corpus formulas through `ltl_to_brasp` (`mid` needs a
+# predicate family, `dyck_since` exceeds `FFN_SUPPORT_CAP` after seconds), and
+# `random_nonstrict:<max_ops>:<seed>`.
+DEPTH_PRESERVING_SHA256 = {
+    "dyck": "117a24dbcee06b27d8b863433d39d96a02cfe48ba0c9b3a34c73e3de51dc0ae8",
+    "dyck_nonstrict": "163abb27f81ed8386284d40233e6357df540f428a07c1b055a839b96b041fc5a",
+    "phi1": "4e805026aae65a8d5b1151aca6cf9803cd4c1a0949fbd0bedb40fadcbe3ea505",
+    "phi2": "7985faf7edfefa96ad6128f6959b81ec0868735b3dfe30079cd92bd4da9af911",
+    "phi3": "adcb1d9db435bafb83f22d7576c9702c94bad3f33238ad104cf4071a2d15e70e",
+    "phi4": "a441d1bd91075e2cbc7e5a88210388ca06686d4b6010f3c67b4f3b7215e058d7",
+    "ab_star": "e2261fe6218c252ec19a6cbf27206150d93d5ddd4539cedcab7b099fd637defd",
+    "apbp_star": "36e87a9753af04f6517c81581359a0d06ffcba941af7b7e9a4794c1871e36a42",
+    "stair_1": "3975b3c8a682b3fd5595a92203dc873aebb4f50f245221a7a98a7946f08a20a5",
+    "stair_2": "1a9c3e61456f10caa4aa79959a4d6c8a19bbdb6309322a49739688fba53ef6a7",
+    "stair_3": "a36ef0a4572db7c90fae52b90e5d9f99d655f4799451cb6a4120fdd249467b6d",
+    "stair_4": "9921371bd7fbaadebe4d7f6b167718e8dc5af7f79276222e1b32efd42a7c1055",
+    "random_nonstrict:6:0": "74506a30fe674c9f67220ae6d95f50293269428e2324209c91f078de6c1ce086",
+    "random_nonstrict:6:1": "85463b490d3aaa7cba1d37b3450db4f0d6a7d3ec824d9bfca1ef30e6790d7400",
+    "random_nonstrict:6:2": "99c3000027eec7e7ef4d9f13097b5e870071e17ed3fa856ec9ecf5082f455bb4",
+    "random_nonstrict:6:4": "1ac11d4b03e8456db533501b7d16259835a38b256c3af9db98e748ccc0aa60fd",
+    "random_nonstrict:6:5": "7f763ed6375e35b1be78646817f45f59013e7a83def26bbf6a2b0bd6184481ab",
+    "random_nonstrict:6:8": "9d3b3d44d3f87020892bc92ec1465e32b94fbd611242c5d120a2a4691538d8fd",
+    "random_nonstrict:6:11": "e435baab8604e520b8f8a98ab6426926c60254b2ea6bfceb4993f211a72699d9",
+    "random_nonstrict:6:42": "0b0b4972f10e71d31fec4d46444ce7e3f26d26447a5a28c0b32e3dd1b05a254f",
+    "random_nonstrict:6:73": "989cc4e03354f6b95bb9eafb1be25117abeb0601b287063f3bfbdc1eb8b579af",
+    "random_nonstrict:6:227": "a95759492219b402482355c7a8268c056005f7707fce42a596bb8bfd7cb53a90",
+    "random_nonstrict:3:1": "246b0f9dd586ead315391487a012bdcff3c79cb3ab67bd5c50ad695d6b44585e",
+    "random_nonstrict:3:5": "b37f4b085de546bb512837bfe71145970254f0283782871260395c17b9624a58",
+    "random_nonstrict:3:6": "fd06855d9013c1236c941a5f58b2d1c70ae3b7250b9ac1ccf6ad32369ed944f4",
+    "random_nonstrict:3:7": "2de02f295cf3cad291010c717891021bcc5b2bdc97fee6d238b3ccf09424f110",
+    "random_nonstrict:3:10": "43385549ad41e7b440abf9e0dad1c61473ad40e527809c460cdb81691c124859",
+    "random_nonstrict:3:11": "1f36b6ab2529a563d944a1ef0a9c0b3d494dc67f9a0bbcbbee7277c6b4e1ae31",
+    "random_nonstrict:3:12": "9af8e52ead22acd520377c0da78fcf34823b0382d95494aaff6d86792c2fc76f",
+    "random_nonstrict:3:27": "5bfa1bcd06466318a7a695d8cfb54b125429c06f4d751cc0ca9e09f1b55ae83c",
+    "random_nonstrict:3:44": "4b448c5c0cec817e0bc6c8cfcc9c85110f86073f4d3eceeff2279253d4d99fb0",
+}
+
+
+def _pinned_program(key: str):
+    if key == "dyck":
+        return corpus.dyck_program()
+    if key == "dyck_nonstrict":
+        return corpus.nonstrict_variant(corpus.dyck_program())
+    if key.startswith("random_nonstrict:"):
+        _, max_ops, seed = key.split(":")
+        return testkit.random_nonstrict_program(int(seed), max_ops=int(max_ops))
+    return ltl.ltl_to_brasp(corpus.corpus().formulas[key]())
+
+
+def test_depth_preserving_weight_files_are_pinned():
+    drifted = []
+    for key, digest in DEPTH_PRESERVING_SHA256.items():
+        text = tf.transformer_to_json(compile_depth_preserving(_pinned_program(key)))
+        if hashlib.sha256(text.encode()).hexdigest() != digest:
+            drifted.append(key)
+    assert drifted == []
+
+
+def test_depth_preserving_lowers_each_feed_forward_net_once(monkeypatch):
+    calls = []
+    lower = compiler.ffn_from_writes
+
+    def counted(width, writes):
+        calls.append(width)
+        return lower(width, writes)
+
+    monkeypatch.setattr(compiler, "ffn_from_writes", counted)
+    model = compile_depth_preserving(corpus.dyck_program())
+    assert calls == [model.width] * model.depth
+    assert model.depth == 3
 
 
 def test_depth_preserving_rejects_predicate_families():

@@ -113,3 +113,22 @@ def test_exact_contract_holds_with_sympy_unloaded():
         """
     )
     assert out.split() == ["False"]
+
+
+def test_compare_rejects_floats_and_strings_with_sympy_unloaded():
+    out = _run(
+        """
+        import sys
+        from starfree import exact
+
+        for call in (lambda: exact.compare(0.5, 1), lambda: exact.compare("x", 1)):
+            try:
+                call()
+            except TypeError:
+                pass
+            else:
+                raise AssertionError("no TypeError")
+        print("sympy" in sys.modules)
+        """
+    )
+    assert out.split() == ["False"]

@@ -12,28 +12,37 @@ vector per output symbol at every position.
 Inputs must be non-empty: the accept/reject decision lives at a designated
 position, which an empty string does not have.
 
-This module owns the bitmask-row format that every interpreter shares: a
-set of positions 1..n is an int whose bit p-1 stands for position p.
-`positions_of` groups positions by value, `MaskKind.rows(n)` is a mask's
-table of rows for length n, kept in a bounded cache, and `run_plan` fills a
-plan's symbol and predicate-family rows and then runs its steps, each
-`step(rows, full) -> row`. Programs and temporal formulas (`ltl`) both run
-through it. A program's plan is built on its first evaluation and kept on
-the program instance; it gives every vector and predicate family a slot and
-compiles every expression once, to closures. For each attention operation
-it records the atoms that the score and value read at i; query positions
-that agree on them share one score row and one value row, so attention
-costs one evaluation per group of positions plus a mask-and-pick per
-position. A plan is never built at parse or construction time, does not
-take part in `==` or `hash`, and is dropped on pickling. Predicate-family
-rows are computed on every call, because `preds` may bind different
-families from call to call.
+This module owns the bitmask-row format that every interpreter shares. A
+row is an int over a batch of m strings of one length n: bit (p-1)*m + s
+stands for position p of string s, so a batch of one is the plain set of
+positions 1..n with bit p-1 for position p. `run_plan` fills a plan's
+symbol rows (one `str.translate` of the batch per symbol) and
+predicate-family rows (once per batch), and then runs its steps, each
+`step(rows, full, m) -> row`. Programs and temporal formulas (`ltl`) both
+run through it, and both read their since/until rows from the one doubling
+`scan`, whose shifts have stride m. `accepts_batch` answers for a whole
+batch, and `accepts`, `eval` and `transduce` run a batch of one.
+
+A program's plan is built on its first evaluation and kept on the program
+instance; it gives every vector and predicate family a slot and compiles
+every expression once, to closures. For each attention operation it
+records the atoms that the score and value read at i; query positions that
+agree on them share one score row and one value row, and within such a
+group attention is a few whole-row scans (see `_AttentionStep`), with no
+loop over positions. A plan is never built at parse or construction time,
+does not take part in `==` or `hash`, and is dropped on pickling.
+Predicate-family rows are computed on every call, because `preds` may bind
+different families from call to call.
+
+`positions_of` and the per-(mask, n) tables `MaskKind.rows` and
+`MaskKind.picks` serve the transformer evaluator.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -546,28 +555,98 @@ def positions_of(values) -> dict:
     return at
 
 
-def run_plan(plan, tokens, families) -> list:
-    """Every row of `plan` (`slots` rows; `symbol_slot`, `pred_slot` and
-    `steps` as in `_Plan`) on a non-empty token list. `families` maps each
-    family name to its (n, i) -> bool evaluator; a token without a slot is
-    skipped. Each step then computes its slot as `step(rows, full)`.
+# Row bits per batch: `testkit` hands a recognizer at most
+# max(1, BATCH_BITS // n) strings of length n at a time.
+BATCH_BITS = 4096
+
+
+def _read(batch, alphabet) -> tuple:
+    """(n, m, text, code) for a batch of m strings of n symbols each.
+
+    `text` has one character per position of every string, position-major
+    and reversed, so that its k-th character from the end is row bit k;
+    `code` maps each symbol that occurs to its character in `text`. Strings
+    over single-character symbols are read as they are, with one alphabet
+    check for the whole batch; token lists and whitespace-separated symbols
+    are tokenized string by string. Without an alphabet, every symbol is
+    accepted.
     """
-    n = len(tokens)
-    full = (1 << n) - 1
+    if (alphabet is None or alphabet._by_character) and set(map(type, batch)) == {str}:
+        lengths = set(map(len, batch))
+        text = "".join(map("".join, zip(*batch))) if len(batch) > 1 else batch[0]
+        present = set(text)
+        if alphabet is not None and not present <= alphabet._known:
+            for w in batch:
+                alphabet.tokenize(w)  # raises for the first string with a foreign symbol
+        code = {c: c for c in present}
+    else:
+        tokens = [list(w) if alphabet is None else alphabet.tokenize(w) for w in batch]
+        lengths = set(map(len, tokens))
+        code = {t: chr(k) for k, t in enumerate(dict.fromkeys(itertools.chain.from_iterable(tokens)))}
+        text = "".join(code[t] for t in itertools.chain.from_iterable(zip(*tokens)))
+    if len(lengths) != 1:
+        raise BraspError(f"a batch holds strings of one length, not {sorted(lengths)}")
+    return lengths.pop(), len(batch), text[::-1], code
+
+
+def run_plan(plan, batch, preds, alphabet) -> tuple:
+    """Every row of `plan` on a batch of equal-length strings: (rows, n, m).
+
+    `plan` has `slots` rows, `symbol_slot`, `pred_slot` and `steps` as in
+    `_Plan`, and `error`, raised for empty strings. Row bit (p-1)*m + s
+    stands for position p of string s, so a batch of one is the plain
+    bitmask row. A symbol's row is one `str.translate` of the batch text;
+    each predicate family (bound as in `resolve_families`) is evaluated
+    once per position and spread over the batch. Each step then computes
+    its slot as `step(rows, full, m)`.
+    """
+    n, m, text, code = _read(batch, alphabet)
+    if not n:
+        raise plan.error("empty input string")
+    families = resolve_families(plan.pred_slot, preds)
+    full = (1 << n * m) - 1
     rows = [0] * plan.slots
-    for sym, row in positions_of(tokens).items():
-        slot = plan.symbol_slot.get(sym)
-        if slot is not None:
-            rows[slot] = row
+    zeros = dict.fromkeys(map(ord, code.values()), "0")
+    for sym, slot in plan.symbol_slot.items():
+        c = code.get(sym)
+        if c is not None:
+            rows[slot] = int(text.translate({**zeros, ord(c): "1"}), 2)
+    block = (1 << m) - 1
     for fam, family in families.items():
-        row = 0
-        for i in range(1, n + 1):
-            if family(n, i):
-                row |= 1 << (i - 1)
-        rows[plan.pred_slot[fam]] = row
+        rows[plan.pred_slot[fam]] = sum(block << (i - 1) * m for i in range(1, n + 1) if family(n, i))
     for slot, step in plan.steps:
-        rows[slot] = step(rows, full)
-    return rows
+        rows[slot] = step(rows, full, m)
+    return rows, n, m
+
+
+def last_bits(row: int, n: int, m: int) -> list:
+    """Each string's bit of a batch row at the last position."""
+    return list(map("1".__eq__, reversed(format(row >> (n - 1) * m, f"0{m}b"))))
+
+
+def scan(through: int, hold: int, before: bool, strict: bool, full: int, m: int) -> int:
+    """Where `hold` held at some position on one side and `through` at every
+    position after it, up to here: the rows of since (`before`) and until.
+
+    Non-strict, looking left, it holds at k when `hold` holds at k, or
+    `through` holds at k and it held at k - 1. The scan solves that
+    recurrence by doubling: after the round with shift s positions (s*m
+    bits), `hold` marks where it holds counting only the last 2s positions,
+    and `through` where `through` holds at all of them. The strict scan at
+    k is the non-strict scan at k - 1; looking right is the mirror image.
+    """
+    s, bits = m, full.bit_length()
+    while s < bits:
+        if before:
+            hold |= through & (hold << s)
+            through &= through << s
+        else:
+            hold |= through & (hold >> s)
+            through &= through >> s
+        s <<= 1
+    if strict:
+        hold = (hold << m) & full if before else hold >> m
+    return hold
 
 
 def eval(prog: BraspProgram, input_text, preds=None) -> Trace:
@@ -578,12 +657,9 @@ def eval(prog: BraspProgram, input_text, preds=None) -> Trace:
     holds, and falls back to the default when none exists.
     """
     tokens = prog.alphabet.tokenize(input_text)
-    if not tokens:
-        raise BraspError("empty input string")
     plan = _plan_for(prog)
-    families = resolve_families(plan.pred_slot, preds) if plan.pred_slot else {}
-    rows = run_plan(plan, tokens, families)
-    return Trace(tokens, list(plan.names), dict(zip(plan.names, rows)), len(tokens))
+    rows, n, _ = run_plan(plan, [tokens], preds, prog.alphabet)
+    return Trace(tokens, list(plan.names), dict(zip(plan.names, rows)), n)
 
 
 def _plan_for(prog: BraspProgram) -> "_Plan":
@@ -603,11 +679,12 @@ class _Plan:
     (`symbol_slot` and `pred_slot` give the slots of symbol indicators and
     families), then one scratch slot per i-atom of each attention
     operation. `steps` pairs each operation's slot with its step,
-    `step(rows, full) -> row`: a position-wise expression compiled by
+    `step(rows, full, m) -> row`: a position-wise expression compiled by
     `_compile`, or an `_AttentionStep`.
     """
 
     __slots__ = ("names", "slots", "symbol_slot", "pred_slot", "steps")
+    error = BraspError
 
     def __init__(self, prog: BraspProgram):
         self.names = tuple(prog.vector_names)
@@ -631,53 +708,65 @@ class _Plan:
 
 
 def _compile(expr: Expr, row_of):
-    """`expr` as a closure (rows, full) -> row; an atom reads rows[row_of(atom)]."""
+    """`expr` as a closure (rows, full, m) -> row; an atom reads rows[row_of(atom)]."""
     if isinstance(expr, Const):
-        return (lambda r, full: full) if expr.value else (lambda r, full: 0)
+        return (lambda r, full, m: full) if expr.value else (lambda r, full, m: 0)
     if isinstance(expr, (Var, Pred)):
         s = row_of(expr)
-        return lambda r, full: r[s]
+        return lambda r, full, m: r[s]
     if isinstance(expr, Not):
         if isinstance(expr.arg, (Var, Pred)):
             s = row_of(expr.arg)
-            return lambda r, full: full ^ r[s]
+            return lambda r, full, m: full ^ r[s]
         arg = _compile(expr.arg, row_of)
-        return lambda r, full: full ^ arg(r, full)
+        return lambda r, full, m: full ^ arg(r, full, m)
     # Atom arguments are read in place; only compound ones cost a call.
     slots = tuple(row_of(a) for a in expr.args if isinstance(a, (Var, Pred)))
     rest = tuple(_compile(a, row_of) for a in expr.args if not isinstance(a, (Var, Pred)))
     if isinstance(expr, And):
-        def conj(r, full):
+        def conj(r, full, m):
             out = full
             for s in slots:
                 out &= r[s]
             for a in rest:
-                out &= a(r, full)
+                out &= a(r, full, m)
             return out
         return conj
 
-    def disj(r, full):
+    def disj(r, full, m):
         out = 0
         for s in slots:
             out |= r[s]
         for a in rest:
-            out |= a(r, full)
+            out |= a(r, full, m)
         return out
     return disj
 
 
 class _AttentionStep:
-    """One attention operation, evaluated once per group of query positions.
+    """One attention operation, as a few whole-row scans per group of query positions.
 
     The distinct atoms that the score and value read at i each get a scratch
-    slot. Query positions that agree on all of them see the same score and
-    value rows, so those rows are evaluated once per group, with each
-    scratch slot set to the group's constant row (all ones or zero): at most
-    min(n, 2^k) groups for k such atoms. Only masking and picking the
-    leftmost or rightmost candidate is done per position.
+    slot. Query positions that agree on all of them see the same score row
+    S and value row V, so those rows are evaluated once per group, with
+    each scratch slot set to the group's constant row (all ones or zero):
+    at most min(n*m, 2^k) groups for k such atoms. Where each query
+    position attends then follows from `scan`s of S and V, as in the
+    translation to formulas (`ltl._attention_formula`):
+
+    - nearest (the tie-break picks the score position nearest i, on the
+      mask's side): since or until of not-S with S and V;
+    - farthest (the tie-break picks the far end of the mask's side): the
+      string's first or last score position, `pick`, found by a strict
+      scan of S, and then whether pick and V held on the mask's side;
+    - no mask: the string's first or last score position, spread to both
+      sides.
+
+    A query position with no score position on its side takes the default;
+    a default that is constantly 0 skips that scan.
     """
 
-    __slots__ = ("leftmost", "mask", "i_slots", "score", "value", "default")
+    __slots__ = ("leftmost", "before", "strict", "unmasked", "nearest", "i_slots", "score", "value", "default")
 
     def __init__(self, body: Attention, row_of, first_scratch: int):
         i_atoms = list(dict.fromkeys(
@@ -689,14 +778,15 @@ class _AttentionStep:
             return scratch[atom] if atom.pos == "i" else row_of(atom)
 
         self.leftmost = body.direction == LEFTMOST
-        self.mask = body.mask
+        self.before, self.strict = body.mask.before, body.mask.strict
+        self.unmasked = body.mask is MaskKind.NONE
+        self.nearest = not self.unmasked and self.leftmost != self.before
         self.i_slots = tuple((row_of(a), scratch[a]) for a in i_atoms)  # (row, scratch slot)
         self.score = _compile(body.score, read)
         self.value = _compile(body.value, read)
-        self.default = _compile(body.default, row_of)
+        self.default = None if body.default == bx.FALSE else _compile(body.default, row_of)
 
-    def __call__(self, rows: list, full: int) -> int:
-        masks = self.mask.rows(full.bit_length())
+    def __call__(self, rows: list, full: int, m: int) -> int:
         groups = [(full, ())]  # (positions, the scratch rows there)
         for s, _ in self.i_slots:
             r = rows[s]
@@ -706,29 +796,50 @@ class _AttentionStep:
                 for part in ((g & r, c + (full,)), (g & ~r, c + (0,)))
                 if part[0]
             ]
-        hits = empty = 0
+        before, strict = self.before, self.strict
+        default = self.default(rows, full, m) if self.default else 0
+        out = 0
         for g, c in groups:
             for (_, t), v in zip(self.i_slots, c):
                 rows[t] = v
-            score = self.score(rows, full)
-            value = self.value(rows, full)
-            while g:
-                low = g & -g
-                g ^= low
-                cand = score & masks[low.bit_length() - 1]
-                if not cand:
-                    empty |= low
-                elif value & (cand & -cand if self.leftmost else 1 << (cand.bit_length() - 1)):
-                    hits |= low
-        return hits | (empty & self.default(rows, full))
+            score = self.score(rows, full, m)
+            value = self.value(rows, full, m)
+            if self.nearest:
+                hits = scan(full ^ score, score & value, before, strict, full, m)
+                seen = scan(full, score, before, strict, full, m) if default else full
+            else:
+                earlier = scan(full, score, self.leftmost, True, full, m)
+                pick = score & ~earlier
+                if self.unmasked:
+                    hits = _spread(pick & value, full, m)
+                    seen = _spread(pick, full, m) if default else full
+                else:
+                    hits = scan(full, pick & value, before, strict, full, m)
+                    seen = earlier if strict else earlier | score
+            out |= g & (hits | (default & ~seen))
+        return out
+
+
+def _spread(row: int, full: int, m: int) -> int:
+    """Every position of each string in which `row` holds somewhere."""
+    return scan(full, row, True, False, full, m) | scan(full, row, False, False, full, m)
+
+
+def accepts_batch(prog: BraspProgram, batch, preds=None) -> list:
+    """Whether the output vector holds at the last position, for each of a
+    batch of equal-length strings."""
+    if not isinstance(prog.output, Accept):
+        raise BraspError("program does not have an accept output")
+    if not batch:
+        return []
+    plan = _plan_for(prog)
+    rows, n, m = run_plan(plan, batch, preds, prog.alphabet)
+    return last_bits(rows[plan.names.index(prog.output.vector)], n, m)
 
 
 def accepts(prog: BraspProgram, input_text, preds=None) -> bool:
     """True iff the output vector holds at the last position."""
-    if not isinstance(prog.output, Accept):
-        raise BraspError("program does not have an accept output")
-    tr = eval(prog, input_text, preds)
-    return bool(tr.value(prog.output.vector, tr.n))
+    return accepts_batch(prog, [input_text], preds)[0]
 
 
 def transduce(prog: BraspProgram, input_text, preds=None) -> str:

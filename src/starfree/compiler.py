@@ -134,6 +134,17 @@ def eval_coord_expr(expr: Expr, vec) -> bool:
     return bx.eval_bool(expr, lambda a: vec[_coord_of_atom(a)] != 0)
 
 
+def _capped_support(coord: int, expr: Expr) -> list:
+    """The sorted support of the write to `coord`; a CompileError past FFN_SUPPORT_CAP."""
+    supp = sorted(expr_support(expr))
+    if len(supp) > FFN_SUPPORT_CAP:
+        raise CompileError(
+            f"feed-forward support of {len(supp)} inputs for coordinate {coord} "
+            f"exceeds FFN_SUPPORT_CAP ({FFN_SUPPORT_CAP})"
+        )
+    return supp
+
+
 def ffn_from_writes(width: int, writes: dict) -> FeedForward:
     """Lower `coord -> Boolean value as expr over coordinate atoms` to a
     two-layer ReLU net computing the residual deltas.
@@ -146,12 +157,7 @@ def ffn_from_writes(width: int, writes: dict) -> FeedForward:
     units = []  # (row dict, bias, coord)
     for c in sorted(writes):
         expr = writes[c]
-        supp = sorted(expr_support(expr))
-        if len(supp) > FFN_SUPPORT_CAP:
-            raise CompileError(
-                f"feed-forward support of {len(supp)} inputs for coordinate {c} "
-                f"exceeds FFN_SUPPORT_CAP ({FFN_SUPPORT_CAP})"
-            )
+        supp = _capped_support(c, expr)
         for bits in range(1 << len(supp)):
             assign = {supp[k]: bool(bits >> k & 1) for k in range(len(supp))}
             if not bx.eval_bool(expr, lambda a: assign[_coord_of_atom(a)]):
@@ -426,7 +432,16 @@ class _Sim:
         top.update({c: _subst_post(e, top) for c, e in writes.items()})
 
     def build(self, alphabet: Alphabet) -> Transformer:
-        """The accepting model: every head placed and every feed-forward net lowered once."""
+        """The accepting model: every head placed and every feed-forward net lowered once.
+
+        Every write is checked against FFN_SUPPORT_CAP, in the order of
+        lowering, before any net is lowered: lowering is exponential in the
+        support, so an over-cap write in a high layer fails without paying
+        for the layers below it.
+        """
+        for _, writes in self.layers:
+            for c in sorted(writes):
+                _capped_support(c, writes[c])
         layers = [
             TransformerLayer(
                 [_shift_head(head, off, self.width) for head, off in heads],

@@ -10,8 +10,11 @@ requirement up to the current position.
 Evaluation flattens a formula DAG once, on its first evaluation, into a
 plan for `brasp.run_plan`, the runner programs use too: one bitmask-row
 slot per distinct node, Boolean nodes compiled to the same closures as
-program expressions, and one doubling scan per `since`/`until`. The plan
-is kept in a weak-keyed table, so it neither keeps a formula alive nor
+program expressions, and one `brasp.scan` per `since`/`until`. Rows cover a
+whole batch of equal-length strings (bit (p-1)*m + s is position p of
+string s), so `ltl_accepts_batch` answers for every string of a batch in
+one run, and `ltl_eval` and `ltl_accepts` run a batch of one. The plan is
+kept in a weak-keyed table, so it neither keeps a formula alive nor
 travels with it when pickled; predicate rows are computed on every call.
 Evaluation never goes through `ltl_to_brasp`, so comparing a formula with
 its translation compares two independent semantics.
@@ -189,10 +192,11 @@ class _FormulaPlan:
 
     Every distinct node gets a slot, an atom its symbol's or family's row. A
     Boolean node is compiled by `brasp._compile`, its atoms named by the
-    slots of its arguments; since/until are one `_temporal_step` each.
+    slots of its arguments; since/until are one `brasp.scan` each.
     """
 
     __slots__ = ("slots", "symbol_slot", "pred_slot", "steps", "root")
+    error = LtlError
 
     def __init__(self, f: Formula):
         self.slots = 0
@@ -234,56 +238,38 @@ class _FormulaPlan:
 
 
 def _temporal_step(lhs: int, rhs: int, since_: bool, strict: bool):
-    """The step computing `lhs S rhs` (or `U` when not `since_`) from their rows.
-
-    Non-strict since holds at k when rhs holds at k, or lhs holds at k and
-    it held at k - 1. The scan solves that recurrence by doubling: after
-    the round with shift s, `hold` marks where it holds counting only the
-    last 2s positions, and `through` where lhs holds at all of them. Strict
-    since at k is non-strict since at k - 1; until is the mirror image.
-    """
-    def step(rows: list, full: int) -> int:
-        through, hold = rows[lhs], rows[rhs]
-        n, s = full.bit_length(), 1
-        while s < n:
-            if since_:
-                hold |= through & (hold << s)
-                through &= through << s
-            else:
-                hold |= through & (hold >> s)
-                through &= through >> s
-            s <<= 1
-        if strict:
-            hold = (hold << 1) & full if since_ else hold >> 1
-        return hold
-
-    return step
+    """The step computing `lhs S rhs` (or `U` when not `since_`) from their rows."""
+    return lambda rows, full, m: brasp.scan(rows[lhs], rows[rhs], since_, strict, full, m)
 
 
-def _row(f: Formula, input_text, preds, alphabet: Optional[Alphabet]) -> tuple:
-    """The formula's truth value at every position as a bitmask row, and the input length."""
-    tokens = alphabet.tokenize(input_text) if alphabet is not None else list(input_text)
-    if not tokens:
-        raise LtlError("empty input string")
+def _row(f: Formula, batch, preds, alphabet: Optional[Alphabet]) -> tuple:
+    """The formula's truth values on a batch of equal-length strings, as one
+    `brasp.run_plan` row: (row, n, m)."""
     plan = _PLANS.get(f)
     if plan is None:
         plan = _PLANS[f] = _FormulaPlan(f)
-    families = brasp.resolve_families(plan.pred_slot, preds)
-    return brasp.run_plan(plan, tokens, families)[plan.root], len(tokens)
+    rows, n, m = brasp.run_plan(plan, batch, preds, alphabet)
+    return rows[plan.root], n, m
 
 
 def ltl_eval(f: Formula, input_text, i: int, preds=None, alphabet=None) -> bool:
     """Whether the formula holds at position i (1-based) of the input."""
-    row, n = _row(f, input_text, preds, alphabet)
+    row, n, _ = _row(f, [input_text], preds, alphabet)
     if not 1 <= i <= n:
         raise LtlError(f"position {i} out of range 1..{n}")
     return bool(row >> (i - 1) & 1)
 
 
+def ltl_accepts_batch(f: Formula, batch, preds=None, alphabet=None) -> list:
+    """Language membership of each of a batch of equal-length strings."""
+    if not batch:
+        return []
+    return brasp.last_bits(*_row(f, batch, preds, alphabet))
+
+
 def ltl_accepts(f: Formula, input_text, preds=None, alphabet=None) -> bool:
     """Language membership: evaluate at the last position."""
-    row, n = _row(f, input_text, preds, alphabet)
-    return bool(row >> (n - 1) & 1)
+    return ltl_accepts_batch(f, [input_text], preds, alphabet)[0]
 
 
 def temporal_depth(f: Formula) -> int:

@@ -1,10 +1,17 @@
 """Differential-testing machinery: oracles, exhaustive equivalence checks,
 stutter-invariance, staircase languages, and a seeded program generator.
 
-Recognizers are plain callables from a string (or token list) to bool, so
+Recognizers are callables from a string (or token list) to bool, so
 programs, formulas, transformers, and hand-written oracles all plug into the
 same harness. Enumeration is length-lexicographic, which makes the shortest
 counterexamples surface first.
+
+Program and formula recognizers (`Recognizer`) also answer for a whole
+batch of equal-length strings in one call, through `batch`, which runs the
+batch bit-sliced through `brasp.run_plan`. `compare_on` and the stutter
+check hand such recognizers each length's strings in chunks of at most
+max(1, brasp.BATCH_BITS // n) strings of length n; any other recognizer
+(oracles, automata, transformers) is called string by string.
 """
 
 from __future__ import annotations
@@ -95,12 +102,29 @@ def compare_on(left, right, strings) -> tuple:
     """
     mismatches = []
     checked = 0
-    for w in strings:
-        checked += 1
-        a, b = bool(left(w)), bool(right(w))
-        if a != b:
-            mismatches.append((w, a, b))
+    for chunk in _chunks(strings):
+        checked += len(chunk)
+        for w, a, b in zip(chunk, _verdicts(left, chunk), _verdicts(right, chunk)):
+            if a != b:
+                mismatches.append((w, a, b))
     return checked, mismatches
+
+
+def _chunks(strings):
+    """The strings in order, in lists of one length n and at most
+    max(1, brasp.BATCH_BITS // n) strings each."""
+    for n, same in itertools.groupby(strings, len):
+        cap = max(1, brasp.BATCH_BITS // max(n, 1))
+        while chunk := list(itertools.islice(same, cap)):
+            yield chunk
+
+
+def _verdicts(recognizer, chunk) -> list:
+    """The recognizer's verdicts on a chunk: in one call if it has `batch`."""
+    batch = getattr(recognizer, "batch", None)
+    if batch is not None:
+        return batch(chunk)
+    return [bool(recognizer(w)) for w in chunk]
 
 
 @dataclass(frozen=True)
@@ -120,10 +144,11 @@ def stutter_invariant_up_to(recognizer, alphabet, bound: int):
     """Check u a v in L iff u a a v in L for every |uav| <= bound.
 
     Returns (True, None) or (False, first witness in length-lex order).
-    Membership of each string is computed once and cached. Besides every
-    string of length 1..bound, the check evaluates the doubled strings of
-    length bound + 1: those with two equal neighbouring symbols. Both count
-    against `ENUMERATION_GUARD`.
+    Membership is computed once per string, a length at a time and in
+    chunks as in `compare_on`: the strings of length n + 1 are known before
+    those of length n are checked. Besides every string of length 1..bound,
+    the check evaluates the doubled strings of length bound + 1: those with
+    two equal neighbouring symbols. Both count against `ENUMERATION_GUARD`.
     """
     symbols = tuple(alphabet.symbols) if isinstance(alphabet, Alphabet) else tuple(alphabet)
     if any(len(s) != 1 for s in symbols):
@@ -131,20 +156,22 @@ def stutter_invariant_up_to(recognizer, alphabet, bound: int):
     k = len(symbols)
     doubled = k ** (bound + 1) - k * (k - 1) ** bound if bound >= 1 else 0
     check_enumeration(symbols, bound, doubled)
-    cache: dict = {}
 
-    def member(w: str) -> bool:
-        hit = cache.get(w)
-        if hit is None:
-            hit = bool(recognizer(w))
-            cache[w] = hit
-        return hit
+    def members(words: list) -> dict:
+        return dict(zip(words, (v for chunk in _chunks(words) for v in _verdicts(recognizer, chunk))))
 
-    for w in strings_over(symbols, bound):
-        for k in range(len(w)):
-            u, a, v = w[:k], w[k], w[k + 1:]
-            if member(w) != member(u + a + a + v):
-                return False, StutterWitness(u, a, v)
+    member = members(list(strings_over(symbols, 1, 1)))
+    for n in range(1, bound + 1):
+        words = list(member)
+        if n < bound:
+            longer = members(list(strings_over(symbols, n + 1, n + 1)))
+        else:
+            longer = members(list(dict.fromkeys(w[:k + 1] + w[k:] for w in words for k in range(n))))
+        for w in words:
+            for k in range(n):
+                if member[w] != longer[w[:k + 1] + w[k:]]:
+                    return False, StutterWitness(w[:k], w[k], w[k + 1:])
+        member = longer
     return True, None
 
 
@@ -192,12 +219,25 @@ STAIR_ALPHABET = Alphabet(("a", "b", "c"))
 # Recognizer adapters
 
 
-def program_recognizer(prog: BraspProgram, preds=None) -> Callable:
-    return lambda w: brasp.accepts(prog, w, preds)
+class Recognizer:
+    """A membership callable that also answers for a batch of equal-length
+    strings, in one call: `batch(strings) -> list of bools`."""
+
+    __slots__ = ("batch",)
+
+    def __init__(self, batch: Callable):
+        self.batch = batch
+
+    def __call__(self, w) -> bool:
+        return self.batch([w])[0]
 
 
-def formula_recognizer(f: ltl.Formula, preds=None, alphabet=None) -> Callable:
-    return lambda w: ltl.ltl_accepts(f, w, preds, alphabet=alphabet)
+def program_recognizer(prog: BraspProgram, preds=None) -> Recognizer:
+    return Recognizer(lambda ws: brasp.accepts_batch(prog, ws, preds))
+
+
+def formula_recognizer(f: ltl.Formula, preds=None, alphabet=None) -> Recognizer:
+    return Recognizer(lambda ws: ltl.ltl_accepts_batch(f, ws, preds, alphabet=alphabet))
 
 
 def transformer_recognizer(model) -> Callable:

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from starfree import boolexpr as bx
-from starfree import brasp, compiler, corpus, normalform, testkit
+from starfree import brasp, compiler, corpus, ltl, normalform, testkit
 from starfree.cli import main
 
 
@@ -52,6 +52,17 @@ def test_ffn_support_cap_in_depth_preserving_compilation(tmp_path, monkeypatch, 
     source.write_text(brasp.program_to_text(prog))
     assert main(["compile", str(source), "--mode", "depth", "-o", str(tmp_path / "weights")]) == 2
     assert "exceeds FFN_SUPPORT_CAP (1)" in capsys.readouterr().err
+
+
+def test_depth_preserving_checks_every_cap_before_lowering(monkeypatch):
+    # ltl_to_brasp(dyck_since) has an over-cap write above a costly layer 1.
+    calls = []
+    lower = compiler.ffn_from_writes
+    monkeypatch.setattr(compiler, "ffn_from_writes", lambda *args: calls.append(args) or lower(*args))
+    prog = ltl.ltl_to_brasp(corpus.dyck_since_formula(), corpus.LR_ALPHABET)
+    with pytest.raises(compiler.CompileError, match="30 inputs for coordinate 519 " + _named("FFN_SUPPORT_CAP", 20)):
+        compiler.compile_depth_preserving(prog)
+    assert calls == []
 
 
 def test_candidate_cap(monkeypatch, parity_naive):

@@ -196,6 +196,13 @@ def test_diff_jobs_split_gives_the_single_process_report(capsys):
         assert out == reports[1, fmt], (jobs, fmt)
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_diff_with_a_symbol_outside_a_program_alphabet_exits_2(dyck_path, jobs, capsys):
+    code = main(["diff", dyck_path, "corpus:dyck", "--alphabet", "l r x", "--jobs", jobs])
+    assert code == 2
+    assert "symbol 'x' not in alphabet" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_diff_jobs_below_one_is_an_error(jobs, capsys):
     code = main(["diff", "corpus:phi1", "corpus:phi2", "--bound", "2", "--jobs", jobs])

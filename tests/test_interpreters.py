@@ -5,7 +5,9 @@ formula once, on first use, and keep that plan. The differential tests
 compare them with `brute.py` on seeded random programs and formulas that
 cover what `testkit.random_nonstrict_program` leaves out: strict masks,
 scores and values that read i, non-constant defaults, predicate families,
-transducers, and strict and non-strict since/until. The lifecycle tests
+transducers, and strict and non-strict since/until. The batch tests ask
+for whole lengths at a time, split into chunks of several sizes, and check
+that a batch fails as its first failing string would. The lifecycle tests
 check that a plan is built lazily, changes no equality or hash, is never
 pickled, and caches no predicate rows.
 """
@@ -13,6 +15,7 @@ pickled, and caches no predicate rows.
 import gc
 import pickle
 import random
+import re
 import weakref
 
 import pytest
@@ -180,6 +183,77 @@ def test_formula_programs_match_bruteforce_formulas():
         prog = ltl.ltl_to_brasp(f, AB)
         for w in testkit.strings_over(AB, 5):
             assert brasp.accepts(prog, w) == brute_ltl_holds(f, w, len(w)), (seed, w)
+
+
+# ---------------------------------------------------------------------------
+# Batches
+
+
+def test_batched_verdicts_match_bruteforce(monkeypatch):
+    """Each length's verdicts, asked of recognizer batches that span several
+    chunks when `BATCH_BITS` is small, against per-string references."""
+    words = list(testkit.strings_over(AB, 5))
+    cases = [
+        (testkit.program_recognizer(prog), [brute_accepts(prog, w) for w in words])
+        for prog in map(random_program, PROGRAM_SEEDS)
+        if isinstance(prog.output, Accept)
+    ]
+    cases += [
+        (testkit.formula_recognizer(f), [brute_ltl_holds(f, w, len(w)) for w in words])
+        for f in map(random_formula, FORMULA_SEEDS)
+    ]
+    sizes = set()
+    run_plan = brasp.run_plan
+
+    def recording(plan, batch, *rest):
+        sizes.add(len(batch))
+        return run_plan(plan, batch, *rest)
+
+    monkeypatch.setattr(brasp, "run_plan", recording)
+    for bits in (16, brasp.BATCH_BITS):
+        monkeypatch.setattr(brasp, "BATCH_BITS", bits)
+        for k, (recognizer, want) in enumerate(cases):
+            reference = dict(zip(words, want)).__getitem__
+            assert testkit.compare_on(recognizer, reference, words) == (len(words), []), (bits, k)
+    # 16 bits: lengths 3-5 take chunks of 5, 4 and 3 strings; 4096: one chunk per length.
+    assert {2, 3, 4, 5, 8, 16, 32} <= sizes
+
+
+def test_a_batch_fails_as_its_first_failing_string_does():
+    dyck = corpus.dyck_program()
+    f = ltl.since(ltl.atom("l"), ltl.atom("r"))
+    with pytest.raises(brasp.BraspError) as single:
+        brasp.accepts(dyck, "lxr")
+    assert str(single.value) == "symbol 'x' not in alphabet ['l', 'r']"
+    with pytest.raises(brasp.BraspError, match=re.escape(str(single.value))):
+        brasp.accepts_batch(dyck, ["lrl", "lxr", "yll"])
+    with pytest.raises(brasp.BraspError, match=re.escape(str(single.value))):
+        ltl.ltl_accepts_batch(f, ["lrl", "lxr", "yll"], alphabet=corpus.LR_ALPHABET)
+    with pytest.raises(brasp.BraspError, match="empty input string"):
+        brasp.accepts_batch(dyck, ["", ""])
+    with pytest.raises(ltl.LtlError, match="empty input string"):
+        ltl.ltl_accepts_batch(f, [""])
+    with pytest.raises(brasp.BraspError, match="strings of one length"):
+        brasp.accepts_batch(dyck, ["lr", "lrr"])
+    assert brasp.accepts_batch(dyck, []) == [] and ltl.ltl_accepts_batch(f, []) == []
+
+
+def test_token_batches_match_character_batches():
+    """Token lists and whitespace-separated symbols take the tokenizing path."""
+    words = list(testkit.strings_over(AB, 4, 4))
+    for seed in FORMULA_SEEDS[:20]:
+        f = random_formula(seed)
+        assert ltl.ltl_accepts_batch(f, [list(w) for w in words]) == ltl.ltl_accepts_batch(f, words)
+    for seed in PROGRAM_SEEDS[:40]:
+        prog = random_program(seed)
+        if isinstance(prog.output, Accept):
+            assert brasp.accepts_batch(prog, [list(w) for w in words]) == brasp.accepts_batch(prog, words)
+    wide = brasp.parse_program(
+        "alphabet: aa b\nP(i) := [rightmost, j<=i] Q_aa(j) ? Q_aa(j) : 0\n"
+        "Y(i) := [leftmost, j>i] Q_b(j) & !P(j) ? 1 : P(i)\noutput: Y\n"
+    )
+    texts = [" ".join(w).replace("a", "aa") for w in words]
+    assert brasp.accepts_batch(wide, texts) == [brute_accepts(wide, w) for w in texts]
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,43 @@ def test_random_nonstrict_programs_are_stutter_invariant_sample():
         assert ok, (seed, witness, brasp.program_to_text(prog))
 
 
+def _stutter_reference(member, symbols, bound):
+    """The check string by string: the first (w, k) in length-lex order whose
+    doubled string disagrees with w."""
+    for w in testkit.strings_over(symbols, bound):
+        for k in range(len(w)):
+            if bool(member(w)) != bool(member(w[:k + 1] + w[k:])):
+                return False, StutterWitness(w[:k], w[k], w[k + 1:])
+    return True, None
+
+
+def test_stutter_witnesses_match_a_per_string_reference():
+    entries = corpus.corpus().languages.values()
+    programs = [(e.program(), 6) for e in entries if e.program is not None]
+    programs += [(corpus.nonstrict_variant(corpus.dyck_program()), 8), (corpus.dyck_program(), 8)]
+    programs += [(random_nonstrict_program(seed), 6) for seed in range(16)]
+    witnesses = 0
+    for prog, bound in programs:
+        got = stutter_invariant_up_to(testkit.program_recognizer(prog), prog.alphabet, bound)
+        assert got == _stutter_reference(lambda w: brasp.accepts(prog, w), prog.alphabet.symbols, bound)
+        witnesses += not got[0]
+    for entry in entries:
+        if entry.formula is not None:
+            f = entry.formula()
+            got = stutter_invariant_up_to(testkit.formula_recognizer(f, alphabet=entry.alphabet), entry.alphabet, 5)
+            member = lambda w: ltl.ltl_accepts(f, w, alphabet=entry.alphabet)
+            assert got == _stutter_reference(member, entry.alphabet.symbols, 5), entry.name
+            witnesses += not got[0]
+    assert witnesses >= 5
+
+
+def test_stutter_enumeration_count_is_pinned():
+    with pytest.raises(ValueError, match="enumeration of 16777212 strings exceeds"):
+        stutter_invariant_up_to(testkit.program_recognizer(corpus.dyck_program()), corpus.LR_ALPHABET, 22)
+    with pytest.raises(ValueError, match="enumeration of 21474207 strings exceeds"):
+        stutter_invariant_up_to(bool, ("a", "b", "c"), 14)
+
+
 def test_corpus_collection_contents():
     c = corpus.corpus()
     assert "dyck" in c.languages and "stair_3" in c.languages

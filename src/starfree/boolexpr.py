@@ -9,12 +9,22 @@ bodies and defaults may only use "i" atoms.
 The program interpreter (`brasp.eval`) evaluates these trees on bitmask
 rows: a vector over positions 1..n is an int whose bit p-1 holds the value
 at position p, so every connective is a plain bitwise operation.
+
+This module also holds the one parser for the Boolean syntax that programs
+(`brasp.parse_program`) and temporal formulas (`ltl.parse_formula`) share.
+`to_text` writes that syntax and `Reader` reads it: tokens are the
+`SEPARATORS` and the runs of other non-space characters between them (a
+`PRED:` prefix does not end at its colon); `!` binds tightest, then `&`,
+then `|`, and a language's binary operators bind loosest and associate to
+the right. Each language passes a `Syntax`: its atom reader and its node
+constructors. Errors are `ExprError`s that carry a character offset.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+import re
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -192,3 +202,111 @@ def to_text(expr: Expr, _level: int = 0) -> str:
         return f"({body})" if _level > 1 else body
     body = " | ".join(to_text(a, 1) for a in expr.args)
     return f"({body})" if _level > 0 else body
+
+
+# ---------------------------------------------------------------------------
+# Parsing
+
+# The characters that delimit tokens. No alphabet symbol, vector name or
+# predicate family name may contain one, or whitespace: `NAME` matches
+# exactly the names that can be written.
+SEPARATORS = "()!&|?:"
+_NAME_CHAR = rf"[^\s{re.escape(SEPARATORS)}]"
+NAME = re.compile(_NAME_CHAR + "+")
+_TOKEN = re.compile(rf"PRED:{_NAME_CHAR}*|[{re.escape(SEPARATORS)}]|{NAME.pattern}")
+
+
+class ExprError(Exception):
+    """A syntax error at character `offset` of the text being read."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"offset {offset}: {message}")
+        self.message = message
+        self.offset = offset
+
+
+@dataclass(frozen=True)
+class Syntax:
+    """How one language reads atoms and builds its trees: `atom(reader, token)`
+    reads the atom that starts with the name `token`; `consts` are the nodes
+    for 0 and 1; `conj` and `disj` get lists of two or more; `binary` maps
+    operator tokens to constructors of `lhs op rhs`."""
+
+    atom: Callable
+    consts: tuple
+    neg: Callable
+    conj: Callable
+    disj: Callable
+    binary: dict = field(default_factory=dict)
+
+
+class Reader:
+    """The tokens of `text` from offset `start`, read with a `Syntax`."""
+
+    def __init__(self, text: str, syntax: Syntax, start: int = 0):
+        self.syntax, self.k = syntax, 0
+        self.tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text, start)]
+        self.tokens.append(("", len(text.rstrip())))  # the end, one past the last character
+
+    def peek(self) -> str:
+        return self.tokens[self.k][0]
+
+    def take(self) -> str:
+        token = self.peek()
+        self.k += 1
+        return token
+
+    def error(self, expected: str, back: int = 0) -> ExprError:
+        """An "expected ..., found ..." error at the token `back` places before the next."""
+        token, offset = self.tokens[self.k - back]
+        return ExprError(f"expected {expected}, found {repr(token) if token else 'the end'}", offset)
+
+    def expect(self, token: str):
+        if self.peek() != token:
+            raise self.error(repr(token))
+        self.k += 1
+
+    def end(self):
+        if self.peek():
+            raise self.error("an operator or the end")
+
+    def expr(self):
+        """One expression: disjunctions joined by the binary operators, to the right."""
+        lhs = self._joined("|", self._conjunction, self.syntax.disj)
+        build = self.syntax.binary.get(self.peek())
+        if build is None:
+            return lhs
+        self.k += 1
+        return build(lhs, self.expr())
+
+    def _conjunction(self):
+        return self._joined("&", self._unary, self.syntax.conj)
+
+    def _joined(self, op: str, operand, build):
+        args = [operand()]
+        while self.peek() == op:
+            self.k += 1
+            args.append(operand())
+        return args[0] if len(args) == 1 else build(args)
+
+    def _unary(self):
+        token = self.take()
+        if token == "!":
+            return self.syntax.neg(self._unary())
+        if token == "(":
+            inner = self.expr()
+            self.expect(")")
+            return inner
+        if token in ("0", "1"):
+            return self.syntax.consts[token == "1"]
+        if not token or token in SEPARATORS:
+            raise self.error("an operand", back=1)
+        return self.syntax.atom(self, token)
+
+
+def parse(text: str, syntax: Syntax, start: int = 0):
+    """The one expression that fills `text` from offset `start`."""
+    reader = Reader(text, syntax, start)
+    expr = reader.expr()
+    reader.end()
+    return expr

@@ -10,7 +10,8 @@ one designated vector at the last position; transduction reads one output
 vector per output symbol at every position.
 
 Inputs must be non-empty: the accept/reject decision lives at a designated
-position, which an empty string does not have.
+position, which an empty string does not have. `parse_program` reads the
+text format line by line, each expression through the `boolexpr` parser.
 
 This module owns the bitmask-row format that every interpreter shares. A
 row is an int over a batch of m strings of one length n: bit (p-1)*m + s
@@ -72,7 +73,7 @@ class Alphabet:
         if len(set(self.symbols)) != len(self.symbols):
             raise BraspError("alphabet symbols must be distinct")
         for s in self.symbols:
-            if not isinstance(s, str) or not s or any(c.isspace() for c in s):
+            if not isinstance(s, str) or not bx.NAME.fullmatch(s):
                 raise BraspError(f"bad alphabet symbol {s!r}")
         # Derived from `symbols` for `tokenize`; left out of equality, hash and pickles.
         object.__setattr__(self, "_known", frozenset(self.symbols))
@@ -276,103 +277,20 @@ def _validate(prog: BraspProgram):
 # Text format
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-# Atom references may mention alphabet symbols like "#" inside Q_ names, and
-# family names like MOD[0,2] carry brackets.
-_ATOM_CHARS = re.compile(r"[^\s()&|!?:]+")
+def _atom(reader: bx.Reader, name: str) -> Expr:
+    """`NAME(i)`, `NAME(j)`, `PRED:FAMILY(i)` or `PRED:FAMILY(j)`, from its name on."""
+    family = name[len("PRED:"):] if name.startswith("PRED:") else None
+    if name[0].isdigit() or family == "":
+        raise reader.error("an atom", back=1)
+    reader.expect("(")
+    pos = reader.take()
+    if pos not in ("i", "j"):
+        raise reader.error("position i or j", back=1)
+    reader.expect(")")
+    return Var(name, pos) if family is None else Pred(family, pos)
 
 
-class _ExprParser:
-    def __init__(self, text: str, line: int, col_offset: int = 0):
-        self.text = text
-        self.pos = 0
-        self.line = line
-        self.col_offset = col_offset
-
-    def error(self, msg: str) -> ParseError:
-        return ParseError(msg, self.line, self.col_offset + self.pos + 1)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse(self) -> Expr:
-        e = self.parse_or()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error(f"unexpected {self.text[self.pos:]!r}")
-        return e
-
-    def parse_or(self) -> Expr:
-        args = [self.parse_and()]
-        while self.peek() == "|":
-            self.pos += 1
-            args.append(self.parse_and())
-        return bx.disj(args) if len(args) > 1 else args[0]
-
-    def parse_and(self) -> Expr:
-        args = [self.parse_unary()]
-        while self.peek() == "&":
-            self.pos += 1
-            args.append(self.parse_unary())
-        return bx.conj(args) if len(args) > 1 else args[0]
-
-    def parse_unary(self) -> Expr:
-        c = self.peek()
-        if c == "!":
-            self.pos += 1
-            return bx.neg(self.parse_unary())
-        if c == "(":
-            self.pos += 1
-            e = self.parse_or()
-            if self.peek() != ")":
-                raise self.error("expected ')'")
-            self.pos += 1
-            return e
-        return self.parse_atom()
-
-    def parse_atom(self) -> Expr:
-        self.skip_ws()
-        rest = self.text[self.pos:]
-        if rest.startswith("0") or rest.startswith("1"):
-            val = rest[0] == "1"
-            self.pos += 1
-            return Const(val)
-        if rest.startswith("PRED:"):
-            self.pos += len("PRED:")
-            m = _ATOM_CHARS.match(self.text, self.pos)
-            if not m:
-                raise self.error("expected predicate family name")
-            fam = m.group(0)
-            self.pos = m.end()
-            pos = self._parse_pos_suffix(fam)
-            return Pred(fam, pos)
-        m = _ATOM_CHARS.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected atom")
-        name = m.group(0)
-        self.pos = m.end()
-        pos = self._parse_pos_suffix(name)
-        return Var(name, pos)
-
-    def _parse_pos_suffix(self, name: str) -> str:
-        if self.peek() != "(":
-            raise self.error(f"expected '(i)' or '(j)' after {name!r}")
-        self.pos += 1
-        p = self.peek()
-        if p not in ("i", "j"):
-            raise self.error("position variable must be i or j")
-        self.pos += 1
-        if self.peek() != ")":
-            raise self.error("expected ')'")
-        self.pos += 1
-        return p
-
-
+_SYNTAX = bx.Syntax(_atom, (bx.FALSE, bx.TRUE), bx.neg, bx.conj, bx.disj)
 _MASKS = {m.value: m for m in MaskKind}
 
 
@@ -412,44 +330,10 @@ def parse_program(text: str) -> BraspProgram:
             continue
         if ":=" not in line:
             raise ParseError("expected 'NAME(i) := ...'", lineno)
-        head, body = line.split(":=", 1)
-        head = head.strip()
-        m = re.fullmatch(r"(.+)\(i\)", head)
-        if not m:
-            raise ParseError(f"bad operation head {head!r}", lineno)
-        name = m.group(1).strip()
-        if not _ATOM_CHARS.fullmatch(name) or name[0].isdigit():
-            raise ParseError(f"bad vector name {name!r}", lineno)
-        body = body.strip()
-        if body.startswith("["):
-            close = body.index("]") if "]" in body else -1
-            if close < 0:
-                raise ParseError("unterminated '[dir, mask]'", lineno)
-            header = body[1:close]
-            parts = [p.strip() for p in header.split(",")]
-            if len(parts) != 2:
-                raise ParseError("expected '[dir, mask]'", lineno)
-            direction, mask_text = parts
-            if direction not in (LEFTMOST, RIGHTMOST):
-                raise ParseError(f"bad direction {direction!r}", lineno)
-            if mask_text not in _MASKS:
-                raise ParseError(f"bad mask {mask_text!r}", lineno)
-            rest = body[close + 1:]
-            qpos = _split_top(rest, "?")
-            if qpos is None:
-                raise ParseError("attention body needs 'score ? value : default'", lineno)
-            score_text, after = qpos
-            cpos = _split_top(after, ":")
-            if cpos is None:
-                raise ParseError("attention body needs ': default'", lineno)
-            value_text, default_text = cpos
-            score = _ExprParser(score_text, lineno).parse()
-            value = _ExprParser(value_text, lineno).parse()
-            default = _ExprParser(default_text, lineno).parse()
-            ops.append(BraspOp(name, Attention(direction, _MASKS[mask_text], score, value, default)))
-        else:
-            expr = _ExprParser(body, lineno).parse()
-            ops.append(BraspOp(name, Positionwise(expr)))
+        try:
+            ops.append(_operation(raw, lineno))
+        except bx.ExprError as e:
+            raise ParseError(e.message, lineno, e.offset + 1) from None
     if alphabet is None:
         raise ParseError("missing 'alphabet:' header", 0)
     try:
@@ -458,22 +342,37 @@ def parse_program(text: str) -> BraspProgram:
         raise BraspError(f"invalid program: {e}") from e
 
 
-def _split_top(text: str, sep: str):
-    """Split at the first top-level occurrence of `sep` (outside parens).
-
-    The colon of a PRED: atom prefix does not count as a separator.
-    """
-    depth = 0
-    for k, c in enumerate(text):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif c == sep and depth == 0:
-            if sep == ":" and text[max(0, k - 4):k] == "PRED":
-                continue
-            return text[:k], text[k + 1:]
-    return None
+def _operation(raw: str, lineno: int) -> BraspOp:
+    """The operation on line `lineno`, `raw`; expression errors give offsets in `raw`."""
+    head, body = raw.split(":=", 1)
+    m = re.fullmatch(r"\s*(.+)\(i\)\s*", head)
+    if not m:
+        raise ParseError(f"bad operation head {head.strip()!r}", lineno)
+    name = m.group(1).strip()
+    if not bx.NAME.fullmatch(name) or name[0].isdigit():
+        raise ParseError(f"bad vector name {name!r}", lineno)
+    start = len(raw) - len(body)  # just past ':='
+    if not body.lstrip().startswith("["):
+        return BraspOp(name, Positionwise(bx.parse(raw, _SYNTAX, start)))
+    close = raw.find("]", start)
+    if close < 0:
+        raise ParseError("unterminated '[dir, mask]'", lineno)
+    parts = [p.strip() for p in raw[raw.index("[", start) + 1:close].split(",")]
+    if len(parts) != 2:
+        raise ParseError("expected '[dir, mask]'", lineno)
+    direction, mask_text = parts
+    if direction not in (LEFTMOST, RIGHTMOST):
+        raise ParseError(f"bad direction {direction!r}", lineno)
+    if mask_text not in _MASKS:
+        raise ParseError(f"bad mask {mask_text!r}", lineno)
+    reader = bx.Reader(raw, _SYNTAX, close + 1)
+    score = reader.expr()
+    reader.expect("?")
+    value = reader.expr()
+    reader.expect(":")
+    default = reader.expr()
+    reader.end()
+    return BraspOp(name, Attention(direction, _MASKS[mask_text], score, value, default))
 
 
 def program_to_text(prog: BraspProgram) -> str:

@@ -72,7 +72,8 @@ def recognizer_spec(spec: str):
     kind, art = load_artifact(spec)
     if kind == "brasp":
         if not isinstance(art.output, brasp.Accept):
-            raise CliError(f"{spec}: transducers cannot be used as recognizers")
+            why = "has no 'output:' line" if art.output is None else "is a transducer"
+            raise CliError(f"{spec}: the program {why}, so it cannot be used as a recognizer")
         return spec, art.alphabet, testkit.program_recognizer(art)
     if kind == "ltl":
         return spec, None, testkit.formula_recognizer(art)

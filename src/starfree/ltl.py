@@ -20,7 +20,8 @@ Evaluation never goes through `ltl_to_brasp`, so comparing a formula with
 its translation compares two independent semantics.
 
 Translations to and from Boolean-vector programs live here as well, in both
-the strict and non-strict dialects.
+the strict and non-strict dialects. `parse_formula` reads formulas through
+the `boolexpr` parser, with S, U, S' and U' as its binary operators.
 """
 
 from __future__ import annotations
@@ -480,109 +481,27 @@ def _attention_formula(body, fs, fv, fd, nonstrict_none: bool) -> Formula:
 # Text format
 
 
-_OPERATORS = ("S'", "U'", "S", "U")
+def _atom(reader: bx.Reader, token: str) -> Formula:
+    """`Q<symbol>` or `PRED:<family>`."""
+    if token.startswith("Q") and len(token) > 1:
+        return Atom(token[1:])
+    if token.startswith("PRED:") and len(token) > len("PRED:"):
+        return PredAtom(token[len("PRED:"):])
+    raise reader.error("an atom", back=1)
+
+
+_SYNTAX = bx.Syntax(
+    _atom, (FALSE, TRUE), not_, lambda args: and_(*args), lambda args: or_(*args),
+    {"S": since, "U": until, "S'": since_ns, "U'": until_ns},
+)
 
 
 def parse_formula(text: str) -> Formula:
-    tokens = _lex(text)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
-
-    def take():
-        t = peek()
-        pos[0] += 1
-        return t
-
-    def parse_temporal() -> Formula:
-        left = parse_or()
-        t = peek()
-        if t in _OPERATORS:
-            take()
-            right = parse_temporal()  # right-associative
-            if t == "S":
-                return since(left, right)
-            if t == "U":
-                return until(left, right)
-            if t == "S'":
-                return since_ns(left, right)
-            return until_ns(left, right)
-        return left
-
-    def parse_or() -> Formula:
-        args = [parse_and()]
-        while peek() == "|":
-            take()
-            args.append(parse_and())
-        return or_(*args)
-
-    def parse_and() -> Formula:
-        args = [parse_unary()]
-        while peek() == "&":
-            take()
-            args.append(parse_unary())
-        return and_(*args)
-
-    def parse_unary() -> Formula:
-        t = peek()
-        if t == "!":
-            take()
-            return not_(parse_unary())
-        if t == "(":
-            take()
-            f = parse_temporal()
-            if peek() != ")":
-                raise LtlError(f"expected ')' near token {pos[0]} in {text!r}")
-            take()
-            return f
-        return parse_atom()
-
-    def parse_atom() -> Formula:
-        t = take()
-        if t is None:
-            raise LtlError(f"unexpected end of formula in {text!r}")
-        if t == "0":
-            return FALSE
-        if t == "1":
-            return TRUE
-        if t.startswith("PRED:"):
-            return PredAtom(t[len("PRED:"):])
-        if t.startswith("Q") and len(t) > 1:
-            return Atom(t[1:])
-        raise LtlError(f"bad atom {t!r} in {text!r}")
-
-    f = parse_temporal()
-    if pos[0] != len(tokens):
-        raise LtlError(f"trailing tokens {tokens[pos[0]:]} in {text!r}")
-    return f
-
-
-def _lex(text: str) -> list:
-    out = []
-    k = 0
-    while k < len(text):
-        c = text[k]
-        if c.isspace():
-            k += 1
-            continue
-        if c in "()!&|":
-            out.append(c)
-            k += 1
-            continue
-        j = k
-        while j < len(text) and not text[j].isspace() and text[j] not in "()!&|":
-            j += 1
-        word = text[k:j]
-        # A bare S/U (optionally primed) is an operator, not an atom.
-        if word in ("0", "1") or word in _OPERATORS:
-            out.append(word)
-        elif word.startswith("Q") or word.startswith("PRED:"):
-            out.append(word)
-        else:
-            raise LtlError(f"cannot lex {word!r} in {text!r}")
-        k = j
-    return out
+    """Read a formula in the syntax `formula_to_text` writes; see the README."""
+    try:
+        return bx.parse(text, _SYNTAX)
+    except bx.ExprError as e:
+        raise LtlError(f"{e} in {text!r}") from None
 
 
 def formula_to_text(f: Formula) -> str:

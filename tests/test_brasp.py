@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from starfree import boolexpr as bx
-from starfree import brasp, corpus
+from starfree import brasp, corpus, testkit
 from starfree.brasp import (
     Accept,
     Alphabet,
@@ -65,6 +65,15 @@ def test_parse_syntax_error_carries_position():
     with pytest.raises(ParseError) as err:
         brasp.parse_program("alphabet: a\nP(i) := Q_a(i) &\noutput: P\n")
     assert err.value.line == 2
+    assert err.value.col == 17  # one past the line's end
+    with pytest.raises(ParseError) as err:
+        brasp.parse_program("alphabet: a\nP(i) := Q_a(k)\noutput: P\n")
+    assert (err.value.line, err.value.col) == (2, 13)
+    with pytest.raises(ParseError, match="':'") as err:
+        brasp.parse_program("alphabet: a\nP(i) := [leftmost, j<i] Q_a(j) ? 1\noutput: P\n")
+    assert err.value.col > 0
+    with pytest.raises(ParseError):
+        brasp.parse_program("alphabet: a\nP(i) := 0_a(i)\noutput: P\n")
 
 
 def test_round_trip_through_text():
@@ -73,6 +82,20 @@ def test_round_trip_through_text():
     assert brasp.program_to_text(again) == brasp.program_to_text(prog)
     for w in ["llrr", "lrlr", "rl", "llrrllrlrr"]:
         assert brasp.accepts(prog, w) == brasp.accepts(again, w)
+    from test_interpreters import random_program
+
+    for seed in range(50):
+        for prog in (random_program(seed), testkit.random_nonstrict_program(seed)):
+            text = brasp.program_to_text(prog)
+            assert brasp.program_to_text(brasp.parse_program(text)) == text, seed
+
+
+@pytest.mark.parametrize("symbol", list("()!&|?:"))
+def test_alphabet_refuses_a_separator_in_a_symbol(symbol):
+    with pytest.raises(BraspError, match="bad alphabet symbol"):
+        Alphabet(("a", symbol))
+    with pytest.raises(BraspError, match="bad alphabet symbol"):
+        Alphabet(("a", f"x{symbol}y"))
 
 
 def test_empty_input_rejected():

@@ -203,6 +203,41 @@ def test_diff_with_a_symbol_outside_a_program_alphabet_exits_2(dyck_path, jobs, 
     assert "symbol 'x' not in alphabet" in capsys.readouterr().err
 
 
+def test_an_alphabet_symbol_with_a_separator_exits_2(capsys):
+    assert main(["diff", "corpus:phi1", "corpus:phi2", "--bound", "2", "--alphabet", "a ("]) == 2
+    assert "bad alphabet symbol '('" in capsys.readouterr().err
+
+
+def test_a_program_without_an_output_line_is_no_recognizer(tmp_path, capsys):
+    path = tmp_path / "program"
+    path.write_text("alphabet: a\nP(i) := Q_a(i)\n")
+    assert main(["diff", str(path), "corpus:aa_star", "--bound", "2"]) == 2
+    assert "has no 'output:' line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("alphabet: a\nP(i) := (Q_a(i) & Q_a(i)\noutput: P\n", "line 2, col 25: expected ')'"),
+        ("alphabet: a\nP(i) := Q_a(i) &\noutput: P\n", "line 2, col 17: expected an operand"),
+        ("alphabet: a\nP(i) := [leftmost, j<i] Q_a(j) : 0\noutput: P\n", "line 2, col 32: expected '?'"),
+        ("alphabet: a\nP(i) := [leftmost, j<i] 1 ? Q_a(j)\noutput: P\n", "line 2, col 35: expected ':'"),
+        ("alphabet: a\nP(i) := Q_a(k)\noutput: P\n", "line 2, col 13: expected position i or j"),
+        ("alphabet: a\nP(i) := Q_a(i) Q_a(i)\noutput: P\n", "line 2, col 16: expected an operator"),
+        ("(Qa S Qb\n", "offset 8: expected ')'"),
+        ("Qa &\n", "offset 4: expected an operand"),
+        ("Qa S\n", "offset 4: expected an operand"),
+        ("Qa Qb\n", "offset 3: expected an operator"),
+    ],
+)
+def test_a_malformed_program_or_formula_file_names_where_it_fails(text, where, tmp_path, capsys):
+    path = tmp_path / "source"
+    path.write_text(text)
+    assert main(["translate", "--from", "ltl", "--to", "brasp", str(path)]
+                if ":=" not in text else ["run", str(path), "--input", "a"]) == 2
+    assert where in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_diff_jobs_below_one_is_an_error(jobs, capsys):
     code = main(["diff", "corpus:phi1", "corpus:phi2", "--bound", "2", "--jobs", jobs])

@@ -61,6 +61,32 @@ def test_formula_round_trip_through_text():
         f = corpus.corpus().formulas[name]()
         again = ltl.parse_formula(ltl.formula_to_text(f))
         assert ltl.formula_to_text(again) == ltl.formula_to_text(f)
+    from test_interpreters import random_formula
+
+    for seed in range(50):
+        text = ltl.formula_to_text(random_formula(seed))
+        assert ltl.formula_to_text(ltl.parse_formula(text)) == text, seed
+
+
+def test_formula_precedence_and_associativity():
+    f = ltl.parse_formula("!Qa & Qb | Qa S Qb U' !(Qa)")
+    assert ltl.formula_to_text(f) == "(!Qa & Qb | Qa) S (Qb U' !Qa)"
+    for text in ("Qa:b", "PRED:MOD?"):  # separators end a symbol or family name
+        with pytest.raises(ltl.LtlError, match="offset"):
+            ltl.parse_formula(text)
+
+
+def test_texts_round_trip_for_a_symbol_that_is_no_separator():
+    f = ltl.and_(ltl.atom("#"), ltl.since(ltl.atom("a"), ltl.not_(ltl.atom("#"))))
+    text = ltl.formula_to_text(f)
+    assert text == "Q# & (Qa S !Q#)"
+    assert ltl.formula_to_text(ltl.parse_formula(text)) == text
+    prog = ltl.ltl_to_brasp(f)
+    assert "Q_#(i)" in brasp.program_to_text(prog)
+    again = brasp.parse_program(brasp.program_to_text(prog))
+    assert again == prog
+    for w in ["#", "a#", "#a#", "#aa", "a"]:
+        assert brasp.accepts(again, w) == ltl.ltl_accepts(f, w)
 
 
 def test_temporal_depth():

@@ -143,17 +143,9 @@ def has_pos(expr: Expr, pos: str) -> bool:
 
 def retag(expr: Expr, old: str, new: str) -> Expr:
     """Rewrite every atom reading `old` to read `new` instead."""
-    if isinstance(expr, Var):
-        return Var(expr.name, new) if expr.pos == old else expr
-    if isinstance(expr, Pred):
-        return Pred(expr.family, new) if expr.pos == old else expr
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, Not):
-        return neg(retag(expr.arg, old, new))
-    if isinstance(expr, And):
-        return conj(retag(a, old, new) for a in expr.args)
-    return disj(retag(a, old, new) for a in expr.args)
+    return substitute(expr, {
+        a: Var(a.name, new) if isinstance(a, Var) else Pred(a.family, new) for a in atoms(expr) if a.pos == old
+    })
 
 
 def substitute(expr: Expr, mapping: dict) -> Expr:
@@ -214,6 +206,12 @@ SEPARATORS = "()!&|?:"
 _NAME_CHAR = rf"[^\s{re.escape(SEPARATORS)}]"
 NAME = re.compile(_NAME_CHAR + "+")
 _TOKEN = re.compile(rf"PRED:{_NAME_CHAR}*|[{re.escape(SEPARATORS)}]|{NAME.pattern}")
+
+
+def spellable(name) -> bool:
+    """Whether text can write `name` as an alphabet symbol, a vector or
+    family name, or a formula atom."""
+    return isinstance(name, str) and NAME.fullmatch(name) is not None
 
 
 class ExprError(Exception):

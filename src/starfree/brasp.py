@@ -73,7 +73,7 @@ class Alphabet:
         if len(set(self.symbols)) != len(self.symbols):
             raise BraspError("alphabet symbols must be distinct")
         for s in self.symbols:
-            if not isinstance(s, str) or not bx.NAME.fullmatch(s):
+            if not bx.spellable(s):
                 raise BraspError(f"bad alphabet symbol {s!r}")
         # Derived from `symbols` for `tokenize`; left out of equality, hash and pickles.
         object.__setattr__(self, "_known", frozenset(self.symbols))
@@ -241,10 +241,20 @@ def _check_expr(expr: Expr, defined: set, families: set, allow_j: bool, where: s
                 raise BraspError(f"{where}: undeclared predicate family {a.family!r}")
 
 
+def _vector_name(name) -> bool:
+    """Whether program text can write `name` as a vector name: no digit starts one."""
+    return bx.spellable(name) and not name[0].isdigit()
+
+
 def _validate(prog: BraspProgram):
     defined = set(prog.initial_names)
     families = set(prog.predicate_families)
+    for family in prog.predicate_families:
+        if not bx.spellable(family):
+            raise BraspError(f"bad predicate family name {family!r}")
     for op in prog.ops:
+        if not _vector_name(op.name):
+            raise BraspError(f"bad vector name {op.name!r}")
         if op.name in defined:
             raise BraspError(f"vector name {op.name!r} reused")
         body = op.body
@@ -349,7 +359,7 @@ def _operation(raw: str, lineno: int) -> BraspOp:
     if not m:
         raise ParseError(f"bad operation head {head.strip()!r}", lineno)
     name = m.group(1).strip()
-    if not bx.NAME.fullmatch(name) or name[0].isdigit():
+    if not _vector_name(name):
         raise ParseError(f"bad vector name {name!r}", lineno)
     start = len(raw) - len(body)  # just past ':='
     if not body.lstrip().startswith("["):

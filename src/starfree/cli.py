@@ -429,6 +429,10 @@ def main(argv=None) -> int:
             compiler.CompileError, tf.TransformerError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print(f"error: the input nests too deeply (past Python's recursion limit, {sys.getrecursionlimit()})",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,20 +6,27 @@ one layer per position-wise operation and two layers per attention
 operation: the first layer's feed-forward net prepares query/key bits for a
 disjoint-conjunct score decomposition, a not-attended flag pair, and a
 folded value bit; the second layer attends with the bilinear score and
-resolves the flag. The depth-preserving construction instead lays the model
-out once, before building it: each operation's layout places its
-dependencies' layouts side by side, fuses position-wise work into the
+resolves the flag. The depth-preserving construction places each
+operation's dependencies side by side, fuses position-wise work into the
 unlowered writes of the top feed-forward network, and adds a single
 attention layer per nesting level, so layer depth equals attention depth.
-The model is built from the final layout, each feed-forward network lowered
-a single time.
+Both lay the model out first, as one `_Sim`, and build it once: every write
+is checked against FFN_SUPPORT_CAP, then each feed-forward network is
+lowered a single time.
 
 Transformer to program rests on the finite-image property: without position
 embeddings (or with finite-image ones), all scores and activation
 components live in a finite set that can be enumerated layer by layer and
-bit-encoded order-preservingly. Attention is then simulated either with one
-max-detector per possible score (shallower) or with a per-bit argmax chain
-(smaller).
+bit-encoded order-preservingly, one program vector per code bit. Every
+coordinate gets its bits from one step: a table of (match expression,
+value) rows, each match spelling a value's code over the previous layer's
+bit vectors, gives per bit the disjunction of the rows whose value sets it
+(`_Decompiler.bit_exprs`), and `emit_bits` makes each such bit a vector, or
+a constant where every value agrees. The embedding, each head's value bits,
+the smaller variant's score bits and every feed-forward coordinate go
+through it; value sets are restricted to a support only by `_project`.
+Attention is simulated either with one max-detector per possible score
+(shallower) or with a per-bit argmax chain (smaller).
 
 Both compilers first rewrite the program so scores and values read only the
 attended position and defaults are constants; the attended position cannot
@@ -126,17 +133,13 @@ def _coord_of_atom(a) -> int:
     return int(a.name[1:])
 
 
-def expr_support(expr: Expr) -> set:
-    return {_coord_of_atom(a) for a in bx.atoms(expr)}
-
-
 def eval_coord_expr(expr: Expr, vec) -> bool:
     return bx.eval_bool(expr, lambda a: vec[_coord_of_atom(a)] != 0)
 
 
 def _capped_support(coord: int, expr: Expr) -> list:
     """The sorted support of the write to `coord`; a CompileError past FFN_SUPPORT_CAP."""
-    supp = sorted(expr_support(expr))
+    supp = sorted({_coord_of_atom(a) for a in bx.atoms(expr)})
     if len(supp) > FFN_SUPPORT_CAP:
         raise CompileError(
             f"feed-forward support of {len(supp)} inputs for coordinate {coord} "
@@ -195,17 +198,10 @@ def _program_pe(prog: BraspProgram, preds=None):
 
 def _coord_expr(expr: Expr, coord_of: dict, pred_coord: dict, force_pos: Optional[str] = None) -> Expr:
     """Rewrite vector/predicate atoms to coordinate atoms."""
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, Var):
-        return catom(coord_of[expr.name], force_pos or expr.pos)
-    if isinstance(expr, Pred):
-        return catom(pred_coord[expr.family], force_pos or expr.pos)
-    if isinstance(expr, bx.Not):
-        return bx.neg(_coord_expr(expr.arg, coord_of, pred_coord, force_pos))
-    if isinstance(expr, bx.And):
-        return bx.conj(_coord_expr(a, coord_of, pred_coord, force_pos) for a in expr.args)
-    return bx.disj(_coord_expr(a, coord_of, pred_coord, force_pos) for a in expr.args)
+    return bx.substitute(expr, {
+        a: catom(coord_of[a.name] if isinstance(a, Var) else pred_coord[a.family], force_pos or a.pos)
+        for a in bx.atoms(expr)
+    })
 
 
 def _folded_value(body: Attention) -> Expr:
@@ -216,12 +212,7 @@ def _folded_value(body: Attention) -> Expr:
     """
     if not isinstance(body.default, Const):
         raise CompileError("attention default must be constant here")
-    return bx.disj(
-        [
-            bx.conj([body.score, body.value]),
-            bx.conj([bx.neg(body.score), body.default]),
-        ]
-    )
+    return bx.disj([bx.conj([body.score, body.value]), bx.conj([bx.neg(body.score), body.default])])
 
 
 def _gadget_width(dec: ScoreDecomposition) -> int:
@@ -256,17 +247,9 @@ def _attention_gadget(body: Attention, dec: ScoreDecomposition, base: int, width
     )
     head = AttentionHead(score, body.mask, body.direction, value)
     answer = bx.disj(
-        [
-            bx.conj([catom(flag_att), catom(gatt)]),
-            bx.conj([bx.neg(catom(flag_att)), to_coords(body.default)]),
-        ]
+        [bx.conj([catom(flag_att), catom(gatt)]), bx.conj([bx.neg(catom(flag_att)), to_coords(body.default)])]
     )
-    labels = {
-        flag_att: "attended flag",
-        flag_def: "default flag",
-        gval: "value bit",
-        gatt: "attended value bit",
-    }
+    labels = {flag_att: "attended flag", flag_def: "default flag", gval: "value bit", gatt: "attended value bit"}
     return writes, head, answer, labels
 
 
@@ -281,78 +264,6 @@ def _one_hot_embedding(alphabet: Alphabet, width: int) -> dict:
 def _accept_output(width: int, coord: int) -> OutputLayer:
     """+1/2 when the coordinate holds 1, -1/2 when it holds 0."""
     return OutputLayer(tuple(ONE if c == coord else ZERO for c in range(width)), -HALF)
-
-
-# ---------------------------------------------------------------------------
-# Naive compilation
-
-
-def compile_naive(prog: BraspProgram, preds=None) -> Transformer:
-    """One layer per position-wise op, two per attention op.
-
-    The compiled transformer simulates every vector of the (normalized)
-    program: the coordinate allocated to a vector equals its value at every
-    position. Accepting programs get an output layer emitting +1/2 or -1/2;
-    transducers compile without one.
-    """
-    src = _pipeline(prog)
-    pe = _program_pe(src, preds)
-
-    nsym = len(src.alphabet.symbols)
-    npred = pe.dim if pe is not None else 0
-    coord_of = {qname(s): k for k, s in enumerate(src.alphabet.symbols)}
-    pred_coord = {f: nsym + k for k, f in enumerate(src.predicate_families)}
-    base = nsym + npred
-    for op in src.ops:
-        coord_of[op.name] = base
-        base += 1
-
-    # Scratch allocation per attention op whose score can hold.
-    scratch = {}  # op name -> (first scratch coordinate, score decomposition)
-    width = base
-    for op in src.ops:
-        if isinstance(op.body, Positionwise):
-            continue
-        dec = decompose_score(op.body.score)
-        if dec.conjuncts:
-            scratch[op.name] = (width, dec)
-            width += _gadget_width(dec)
-
-    def to_coords(expr, force_pos=None):
-        return _coord_expr(expr, coord_of, pred_coord, force_pos)
-
-    def ffn_layer(writes):
-        return TransformerLayer(identity_layer(width).heads, ffn_from_writes(width, writes))
-
-    layers = []
-    coord_doc = {str(v): k for k, v in coord_of.items()}
-    for op in src.ops:
-        body = op.body
-        out = coord_of[op.name]
-        if op.name not in scratch:
-            # Position-wise, or a score that never holds, so the default wins.
-            expr = body.expr if isinstance(body, Positionwise) else body.default
-            layers.append(ffn_layer({out: to_coords(expr)}))
-            continue
-        base, dec = scratch[op.name]
-        writes, head, answer, labels = _attention_gadget(body, dec, base, width, to_coords)
-        coord_doc.update({str(c): f"{op.name}: {label}" for c, label in labels.items()})
-        layers.append(ffn_layer(writes))
-        layers.append(TransformerLayer([head], ffn_from_writes(width, {out: answer})))
-
-    output = None
-    if isinstance(src.output, Accept):
-        output = _accept_output(width, coord_of[src.output.vector])
-    pes = ((pe, nsym),) if pe is not None else ()
-    model = Transformer(width, src.alphabet, _one_hot_embedding(src.alphabet, width), layers, output, pes)
-    model.coord_of = dict(coord_of)
-    model.coord_doc = coord_doc
-    model.source_program = src
-    return model
-
-
-# ---------------------------------------------------------------------------
-# Depth-preserving compilation
 
 
 def _shift_expr(expr: Expr, offset: int) -> Expr:
@@ -377,13 +288,14 @@ _EMPTY_HEAD = identity_layer(0).heads[0]
 
 @dataclass
 class _Sim:
-    """The layout of a transformer simulating one vector, before it is built.
+    """The layout of a transformer, before it is built; both compilers lay
+    their models out this way.
 
     Each of `layers` is a pair (heads, writes): `heads` lists (head, offset)
     pairs, the head's coordinates starting at `offset` in the model, and
     `writes` is the layer's feed-forward net as the unlowered
     `{coord: expr}` updates that `ffn_from_writes` takes. `coord` holds the
-    simulated vector.
+    simulated vector that the output layer reads; a transducer has none.
     """
 
     width: int
@@ -431,8 +343,9 @@ class _Sim:
         top = self.layers[-1][1]
         top.update({c: _subst_post(e, top) for c, e in writes.items()})
 
-    def build(self, alphabet: Alphabet) -> Transformer:
-        """The accepting model: every head placed and every feed-forward net lowered once.
+    def build(self, alphabet: Alphabet, position_embeddings=()) -> Transformer:
+        """The model: every head placed and every feed-forward net lowered
+        once, with an output layer reading `coord` when it is set.
 
         Every write is checked against FFN_SUPPORT_CAP, in the order of
         lowering, before any net is lowered: lowering is exponential in the
@@ -449,8 +362,74 @@ class _Sim:
             )
             for heads, writes in self.layers
         ]
-        output = _accept_output(self.width, self.coord)
-        return Transformer(self.width, alphabet, self.embedding, layers, output, ())
+        output = None if self.coord is None else _accept_output(self.width, self.coord)
+        return Transformer(self.width, alphabet, self.embedding, layers, output, position_embeddings)
+
+
+# ---------------------------------------------------------------------------
+# Naive compilation
+
+
+def compile_naive(prog: BraspProgram, preds=None) -> Transformer:
+    """One layer per position-wise op, two per attention op.
+
+    The compiled transformer simulates every vector of the (normalized)
+    program: the coordinate allocated to a vector equals its value at every
+    position. Accepting programs get an output layer emitting +1/2 or -1/2;
+    transducers compile without one.
+    """
+    src = _pipeline(prog)
+    pe = _program_pe(src, preds)
+
+    nsym = len(src.alphabet.symbols)
+    npred = pe.dim if pe is not None else 0
+    coord_of = {qname(s): k for k, s in enumerate(src.alphabet.symbols)}
+    pred_coord = {f: nsym + k for k, f in enumerate(src.predicate_families)}
+    base = nsym + npred
+    for op in src.ops:
+        coord_of[op.name] = base
+        base += 1
+
+    # Scratch allocation per attention op whose score can hold.
+    scratch = {}  # op name -> (first scratch coordinate, score decomposition)
+    width = base
+    for op in src.ops:
+        if isinstance(op.body, Positionwise):
+            continue
+        dec = decompose_score(op.body.score)
+        if dec.conjuncts:
+            scratch[op.name] = (width, dec)
+            width += _gadget_width(dec)
+
+    def to_coords(expr, force_pos=None):
+        return _coord_expr(expr, coord_of, pred_coord, force_pos)
+
+    sim = _Sim(width, _one_hot_embedding(src.alphabet, width), [])
+    if isinstance(src.output, Accept):
+        sim.coord = coord_of[src.output.vector]
+    coord_doc = {str(v): k for k, v in coord_of.items()}
+    for op in src.ops:
+        body = op.body
+        out = coord_of[op.name]
+        if op.name not in scratch:
+            # Position-wise, or a score that never holds, so the default wins.
+            expr = body.expr if isinstance(body, Positionwise) else body.default
+            sim.layers.append(([(_EMPTY_HEAD, 0)], {out: to_coords(expr)}))
+            continue
+        base, dec = scratch[op.name]
+        writes, head, answer, labels = _attention_gadget(body, dec, base, width, to_coords)
+        coord_doc.update({str(c): f"{op.name}: {label}" for c, label in labels.items()})
+        sim.layers += [([(_EMPTY_HEAD, 0)], writes), ([(head, 0)], {out: answer})]
+
+    model = sim.build(src.alphabet, ((pe, nsym),) if pe is not None else ())
+    model.coord_of = dict(coord_of)
+    model.coord_doc = coord_doc
+    model.source_program = src
+    return model
+
+
+# ---------------------------------------------------------------------------
+# Depth-preserving compilation
 
 
 def compile_depth_preserving(prog: BraspProgram) -> Transformer:
@@ -580,7 +559,7 @@ def enumerate_value_set(model: Transformer) -> list:
             raise CompileError(
                 f"position embedding {pe.name!r} has no finite-image certificate"
             )
-    levels = [LayerValueSet(_dedup(vec for _sym, _combo, vec in model.embedding_image()), [], [])]
+    levels = [LayerValueSet(list(dict.fromkeys(vec for _sym, _combo, vec in model.embedding_image())), [], [])]
 
     for layer in model.layers:
         prev = levels[-1].activations
@@ -588,7 +567,7 @@ def enumerate_value_set(model: Transformer) -> list:
         opts_per_head = []
         scores_per_head = []
         for head in layer.heads:
-            opts = _dedup([tuple(head.value(list(u))) for u in prev] + [zero])
+            opts = list(dict.fromkeys([tuple(head.value(list(u))) for u in prev] + [zero]))
             opts_per_head.append(opts)
             queries = {}
             for u in prev:
@@ -609,18 +588,8 @@ def enumerate_value_set(model: Transformer) -> list:
         outs = [
             tuple(layer.step(x, combo)[2]) for x in prev for combo in itertools.product(*opts_per_head)
         ]
-        levels.append(LayerValueSet(_dedup(outs), scores_per_head, opts_per_head))
+        levels.append(LayerValueSet(list(dict.fromkeys(outs)), scores_per_head, opts_per_head))
     return levels
-
-
-def _dedup(items) -> list:
-    seen = set()
-    out = []
-    for it in items:
-        if it not in seen:
-            seen.add(it)
-            out.append(it)
-    return out
 
 
 def finite_image_bound(model: Transformer, layer: int) -> int:
@@ -643,7 +612,7 @@ class _Decompiler:
     codes: dict
     bits: int
     ops: list = field(default_factory=list)
-    bitref: dict = field(default_factory=dict)  # (layer, coord, bit) -> Expr
+    refs: dict = field(default_factory=dict)  # (layer, coord) -> one Expr per code bit
     families: dict = field(default_factory=dict)  # name -> PredicateFamily
     pe_codings: list = field(default_factory=list)
     counter: int = 0
@@ -669,20 +638,40 @@ class _Decompiler:
     def code(self, v) -> int:
         return lookup_code(self.codes, v)
 
-    def coord_match(self, layer: int, coord: int, value, pos: str) -> Expr:
-        code = self.code(value)
-        terms = []
-        for b in range(self.bits):
-            ref = self.bitref[(layer, coord, b)]
-            if pos == "j":
-                ref = bx.retag(ref, "i", "j")
-            terms.append(ref if code >> b & 1 else bx.neg(ref))
-        return bx.conj(terms)
+    def match(self, refs: list, value, pos: str) -> Expr:
+        """`value`'s code over the bit expressions `refs`, read at `pos`."""
+        if pos == "j":
+            refs = [bx.retag(ref, "i", "j") for ref in refs]
+        return _spell(refs, self.code(value))
 
     def proj_match(self, layer: int, coords, values, pos: str) -> Expr:
-        return bx.conj(
-            self.coord_match(layer, c, v, pos) for c, v in zip(coords, values)
-        )
+        return bx.conj([self.match(self.refs[(layer, c)], v, pos) for c, v in zip(coords, values)])
+
+    def bit_exprs(self, table: list) -> list:
+        """Per code bit, the disjunction of the match expressions of the
+        (match expression, value) rows of `table` whose value has the bit set."""
+        codes = [(m, self.code(v)) for m, v in table]
+        return [bx.disj([m for m, code in codes if code >> b & 1]) for b in range(self.bits)]
+
+    def emit_bits(self, layer: int, coord: int, base: str, table: list):
+        """Give (layer, coord) one vector per code bit of `table`'s values,
+        or a constant for a bit every value agrees on."""
+        codes = {self.code(v) for _m, v in table}
+        refs = []
+        for b, expr in enumerate(self.bit_exprs(table)):
+            bitvals = {code >> b & 1 for code in codes}
+            refs.append(Const(bool(bitvals.pop())) if len(bitvals) == 1 else self.emit_pw(f"{base}b{b}", expr))
+        self.refs[(layer, coord)] = refs
+
+
+def _spell(refs: list, code: int) -> Expr:
+    """Bit b of `code` over the b-th of `refs`: the ref when set, its negation when not."""
+    return bx.conj([ref if code >> b & 1 else bx.neg(ref) for b, ref in enumerate(refs)])
+
+
+def _project(vectors, coords) -> list:
+    """The distinct restrictions of `vectors` to `coords`, in first-seen order."""
+    return list(dict.fromkeys([tuple(u[k] for k in coords) for u in vectors]))
 
 
 def decompile_with_predicates(model: Transformer, variant: str = "shallower"):
@@ -728,10 +717,9 @@ def decompile_with_predicates(model: Transformer, variant: str = "shallower"):
     if model.output is None:
         raise CompileError("transformer has no output layer to decompile")
     outsupp = [k for k, w in enumerate(model.output.weights) if w != 0]
-    projs = _dedup([tuple(u[k] for k in outsupp) for u in levels[-1].activations])
     yexpr = bx.disj(
         dec.proj_match(model.depth, outsupp, p, "i")
-        for p in projs
+        for p in _project(levels[-1].activations, outsupp)
         if output_rule(model, _spread(model.width, outsupp, p))
     )
     name = dec.fresh("Y")
@@ -757,25 +745,13 @@ def _decompile_embedding(dec: _Decompiler):
         terms = [Var(qname(sym), "i")]
         for coding, pv in zip(dec.pe_codings, pvs):
             for c, v in enumerate(pv):
-                code = coding.code_of(c, v)
-                for b in range(coding.bits[c]):
-                    atom = Pred(coding.family_name(c, b), "i")
-                    terms.append(atom if code >> b & 1 else bx.neg(atom))
+                atoms = [Pred(coding.family_name(c, b), "i") for b in range(coding.bits[c])]
+                terms.append(_spell(atoms, coding.code_of(c, v)))
         return bx.conj(terms)
 
+    matches = [combo_match(sym, pvs) for sym, pvs, _vec in combos]
     for c in range(model.width):
-        vals = {vec[c] for _, _, vec in combos}
-        for b in range(dec.bits):
-            bitvals = {dec.code(v) >> b & 1 for v in vals}
-            if len(bitvals) == 1:
-                dec.bitref[(0, c, b)] = Const(bool(bitvals.pop()))
-                continue
-            expr = bx.disj(
-                combo_match(sym, pvs)
-                for sym, pvs, vec in combos
-                if dec.code(vec[c]) >> b & 1
-            )
-            dec.bitref[(0, c, b)] = dec.emit_pw(f"E{c}b{b}", expr)
+        dec.emit_bits(0, c, f"E{c}", [(m, vec[c]) for m, (_sym, _pvs, vec) in zip(matches, combos)])
 
 
 def _spread(width: int, coords, values) -> list:
@@ -792,17 +768,14 @@ def _decompile_layer(dec: _Decompiler, ell: int):
     prev_acts = dec.levels[ell - 1].activations
     opts_per_head = dec.levels[ell].value_options
 
-    def projections(coords) -> list:
-        return _dedup([tuple(u[k] for k in coords) for u in prev_acts])
-
-    # Per head: expressions (or op references) for the bits of the head output.
-    obit: dict = {}  # (head, coord, bit) -> Expr
+    # Per head: the bit expressions (or op references) of each varying output coordinate.
+    obit: dict = {}  # (head, coord) -> one Expr per code bit
     const_out: dict = {}  # (head, coord) -> constant value when invariant
     for h, head in enumerate(layer.heads):
         isupp = sorted({r for r, _c, _v in head.score_sparse.entries})
         jsupp = sorted({c for _r, c, _v in head.score_sparse.entries})
         vsupp = sorted({c for _r, c, _v in head.value_sparse.entries})
-        iprojs, jprojs = projections(isupp), projections(jsupp)
+        iprojs, jprojs = _project(prev_acts, isupp), _project(prev_acts, jsupp)
         if len(iprojs) * len(jprojs) > PAIR_CAP:
             raise CompileError(
                 f"score pair enumeration of {len(iprojs) * len(jprojs)} pairs exceeds PAIR_CAP ({PAIR_CAP})"
@@ -822,20 +795,15 @@ def _decompile_layer(dec: _Decompiler, ell: int):
 
         values = [
             (dec.proj_match(ell - 1, vsupp, q, "j"), tuple(head.value(_spread(model.width, vsupp, q))))
-            for q in projections(vsupp)
+            for q in _project(prev_acts, vsupp)
         ]
-        varying = []
+        vbit = {}  # coord -> per bit, the attended position's value has the bit set
         for c in range(model.width):
             vals = {v[c] for _m, v in values} | {ZERO}
             if len(vals) == 1:
                 const_out[(h, c)] = vals.pop()
             else:
-                varying.append(c)
-        vbit = {  # (coord, bit) -> the attended position's value has the bit set
-            (c, b): bx.disj(vmatch for vmatch, v in values if dec.code(v[c]) >> b & 1)
-            for c in varying
-            for b in range(dec.bits)
-        }
+                vbit[c] = dec.bit_exprs([(m, v[c]) for m, v in values])
 
         if dec.variant == "shallower":
             none_ref = dec.emit_att(
@@ -850,41 +818,40 @@ def _decompile_layer(dec: _Decompiler, ell: int):
                 max_refs[vkey] = dec.emit_att(
                     f"L{ell}H{h}max{vkey}", head.tiebreak, head.mask, sgt, bx.FALSE, bx.TRUE
                 )
-                for (c, b), vb in vbit.items():
-                    pick_refs[(vkey, c, b)] = dec.emit_att(
-                        f"L{ell}H{h}at{vkey}c{c}b{b}", head.tiebreak, head.mask, sv, vb, bx.FALSE
+                for c, vbits in vbit.items():
+                    for b, vb in enumerate(vbits):
+                        pick_refs[(vkey, c, b)] = dec.emit_att(
+                            f"L{ell}H{h}at{vkey}c{c}b{b}", head.tiebreak, head.mask, sv, vb, bx.FALSE
+                        )
+            zero = [none_ref]  # the head attends nowhere and outputs zero
+            for c in vbit:
+                obit[(h, c)] = [
+                    dec.emit_pw(
+                        f"L{ell}H{h}o{c}b{b}",
+                        bx.disj(
+                            [bx.conj([max_refs[dec.code(v)], pick_refs[(dec.code(v), c, b)]]) for v in svals]
+                            + (zero if dec.code(ZERO) >> b & 1 else [])
+                        ),
                     )
-            for c, b in vbit:
-                zbit = bool(dec.code(ZERO) >> b & 1)
-                expr = bx.disj(
-                    [
-                        bx.conj([max_refs[dec.code(v)], pick_refs[(dec.code(v), c, b)]])
-                        for v in svals
-                    ]
-                    + ([bx.conj([none_ref, bx.TRUE])] if zbit else [])
-                )
-                obit[(h, c, b)] = dec.emit_pw(f"L{ell}H{h}o{c}b{b}", expr)
+                    for b in range(dec.bits)
+                ]
         else:
-            sbit = [scored(lambda s: dec.code(s) >> b & 1) for b in range(dec.bits)]
+            sbit = dec.bit_exprs(pairs)
             max_refs = {}
             for b in range(dec.bits - 1, -1, -1):
-                higher = bx.conj(
-                    bx.iff(sbit[b2], max_refs[b2]) for b2 in range(b + 1, dec.bits)
-                )
+                higher = bx.conj(bx.iff(sbit[b2], max_refs[b2]) for b2 in range(b + 1, dec.bits))
                 max_refs[b] = dec.emit_att(
-                    f"L{ell}H{h}mx{b}",
-                    head.tiebreak,
-                    head.mask,
-                    bx.conj([higher, sbit[b]]),
-                    bx.TRUE,
-                    bx.FALSE,
+                    f"L{ell}H{h}mx{b}", head.tiebreak, head.mask, bx.conj([higher, sbit[b]]), bx.TRUE, bx.FALSE
                 )
             argmax = bx.conj(bx.iff(sbit[b], max_refs[b]) for b in range(dec.bits))
-            for (c, b), vb in vbit.items():
-                zbit = Const(bool(dec.code(ZERO) >> b & 1))
-                obit[(h, c, b)] = dec.emit_att(
-                    f"L{ell}H{h}o{c}b{b}", head.tiebreak, head.mask, argmax, vb, zbit
-                )
+            for c, vbits in vbit.items():
+                obit[(h, c)] = [
+                    dec.emit_att(
+                        f"L{ell}H{h}o{c}b{b}", head.tiebreak, head.mask, argmax, vb,
+                        Const(bool(dec.code(ZERO) >> b & 1)),
+                    )
+                    for b, vb in enumerate(vbits)
+                ]
 
     # Position-wise combination: the layer's step on the coordinates that
     # coordinate c depends on, every other coordinate held at zero.
@@ -897,28 +864,21 @@ def _decompile_layer(dec: _Decompiler, ell: int):
         for u, _w in units:
             fsupp.update(k for k, _v in w1_rows[u])
         fsupp = sorted(fsupp)
-        head_varies = [
-            h
-            for h in range(len(layer.heads))
-            if any((h, k) not in const_out for k in fsupp)
-        ]
+        head_varies = [h for h in range(len(layer.heads)) if any((h, k) in obit for k in fsupp)]
         writes_nothing = (
             not units
             and ffn.b2[c] == 0
             and all(const_out.get((h, c), None) == ZERO for h in range(len(layer.heads)))
         )
         if writes_nothing:
-            for b in range(dec.bits):
-                dec.bitref[(ell, c, b)] = dec.bitref[(ell - 1, c, b)]
+            dec.refs[(ell, c)] = dec.refs[(ell - 1, c)]
             continue
 
-        xprojs = _dedup([tuple(u[k] for k in fsupp) for u in prev_acts])
-        opt_projs = []
-        for h in range(len(layer.heads)):
-            if h in head_varies:
-                opt_projs.append(_dedup([tuple(o[k] for k in fsupp) for o in opts_per_head[h]]))
-            else:
-                opt_projs.append([tuple(const_out[(h, k)] for k in fsupp)])
+        xprojs = _project(prev_acts, fsupp)
+        opt_projs = [
+            _project(opts_per_head[h], fsupp) if h in head_varies else [tuple(const_out[(h, k)] for k in fsupp)]
+            for h in range(len(layer.heads))
+        ]
         total = len(xprojs)
         for ops_ in opt_projs:
             total *= len(ops_)
@@ -927,31 +887,16 @@ def _decompile_layer(dec: _Decompiler, ell: int):
                 f"combination enumeration of {total} combinations exceeds PAIR_CAP ({PAIR_CAP})"
             )
 
-        outcomes = []
+        # One row per (input projection, head outputs) combination: its match and coordinate c's value.
+        table = []
         for xp in xprojs:
             x = _spread(model.width, fsupp, xp)
+            xmatch = dec.proj_match(ell - 1, fsupp, xp, "i")
             for combo in itertools.product(*opt_projs):
                 _att, _ffn, y = layer.step(x, [_spread(model.width, fsupp, o) for o in combo])
-                outcomes.append((xp, combo, y[c]))
-
-        for b in range(dec.bits):
-            bitvals = {dec.code(y) >> b & 1 for _xp, _combo, y in outcomes}
-            if len(bitvals) == 1:
-                dec.bitref[(ell, c, b)] = Const(bool(bitvals.pop()))
-                continue
-            branches = []
-            for xp, combo, y in outcomes:
-                if not dec.code(y) >> b & 1:
-                    continue
-                terms = [dec.proj_match(ell - 1, fsupp, xp, "i")]
-                for h in head_varies:
-                    o = combo[h]
-                    for k, ov in zip(fsupp, o):
-                        if (h, k) in const_out:
-                            continue
-                        code = dec.code(ov)
-                        for b2 in range(dec.bits):
-                            ref = obit[(h, k, b2)]
-                            terms.append(ref if code >> b2 & 1 else bx.neg(ref))
-                branches.append(bx.conj(terms))
-            dec.bitref[(ell, c, b)] = dec.emit_pw(f"L{ell}y{c}b{b}", bx.disj(branches))
+                omatch = [
+                    dec.match(obit[(h, k)], ov, "i") for h in head_varies for k, ov in zip(fsupp, combo[h])
+                    if (h, k) in obit
+                ]
+                table.append((bx.conj([xmatch] + omatch), y[c]))
+        dec.emit_bits(ell, c, f"L{ell}y{c}", table)

@@ -52,10 +52,18 @@ class LtlError(Exception):
 class Atom:
     symbol: str
 
+    def __post_init__(self):
+        if not bx.spellable(self.symbol):
+            raise LtlError(f"bad atom symbol {self.symbol!r}")
+
 
 @dataclass(frozen=True, eq=False)
 class PredAtom:
     family: str
+
+    def __post_init__(self):
+        if not bx.spellable(self.family):
+            raise LtlError(f"bad predicate family name {self.family!r}")
 
 
 @dataclass(frozen=True, eq=False)

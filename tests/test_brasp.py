@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from starfree import boolexpr as bx
-from starfree import brasp, corpus, testkit
+from starfree import brasp, corpus, ltl, testkit
 from starfree.brasp import (
     Accept,
     Alphabet,
@@ -96,6 +96,27 @@ def test_alphabet_refuses_a_separator_in_a_symbol(symbol):
         Alphabet(("a", symbol))
     with pytest.raises(BraspError, match="bad alphabet symbol"):
         Alphabet(("a", f"x{symbol}y"))
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: brasp.parse_program("alphabet: a\npreds: a:b\nY(i) := Q_a(i)\noutput: Y\n"),
+         BraspError, "bad predicate family name 'a:b'"),
+        (lambda: BraspProgram(Alphabet(("a",)), (), Accept("Q_a"), ("x y",)),
+         BraspError, "bad predicate family name 'x y'"),
+        (lambda: BraspProgram(Alphabet(("a",)), (BraspOp("x|y", Positionwise(bx.Var("Q_a"))),), Accept("x|y")),
+         BraspError, "bad vector name 'x|y'"),
+        (lambda: BraspProgram(Alphabet(("a",)), (BraspOp("1", Positionwise(bx.Var("Q_a"))),), Accept("1")),
+         BraspError, "bad vector name '1'"),
+        (lambda: ltl.atom("("), ltl.LtlError, r"bad atom symbol '\('"),
+        (lambda: ltl.pred("a:b"), ltl.LtlError, "bad predicate family name 'a:b'"),
+    ],
+    ids=["preds-line", "family", "vector", "digit-vector", "atom", "pred-atom"],
+)
+def test_names_that_text_cannot_write_are_refused(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
 
 
 def test_empty_input_rejected():

@@ -54,14 +54,32 @@ def test_ffn_support_cap_in_depth_preserving_compilation(tmp_path, monkeypatch, 
     assert "exceeds FFN_SUPPORT_CAP (1)" in capsys.readouterr().err
 
 
-def test_depth_preserving_checks_every_cap_before_lowering(monkeypatch):
-    # ltl_to_brasp(dyck_since) has an over-cap write above a costly layer 1.
+def _lowerings_before_the_cap_error(compile_fn, prog, message, monkeypatch) -> list:
     calls = []
     lower = compiler.ffn_from_writes
     monkeypatch.setattr(compiler, "ffn_from_writes", lambda *args: calls.append(args) or lower(*args))
+    with pytest.raises(compiler.CompileError, match=message + _named("FFN_SUPPORT_CAP", 20)):
+        compile_fn(prog)
+    return calls
+
+
+def test_depth_preserving_checks_every_cap_before_lowering(monkeypatch):
+    # ltl_to_brasp(dyck_since) has an over-cap write above a costly layer 1.
     prog = ltl.ltl_to_brasp(corpus.dyck_since_formula(), corpus.LR_ALPHABET)
-    with pytest.raises(compiler.CompileError, match="30 inputs for coordinate 519 " + _named("FFN_SUPPORT_CAP", 20)):
-        compiler.compile_depth_preserving(prog)
+    calls = _lowerings_before_the_cap_error(
+        compiler.compile_depth_preserving, prog, "30 inputs for coordinate 519 ", monkeypatch
+    )
+    assert calls == []
+
+
+def test_naive_checks_every_cap_before_lowering(monkeypatch):
+    # 21 vectors one layer each, then a last write that reads all of them.
+    lines = ["alphabet: a b"] + [f"X{k}(i) := [leftmost, j<i] 1 ? Q_a(j) : 0" for k in range(21)]
+    lines += ["Y(i) := " + " & ".join(f"X{k}(i)" for k in range(21)), "output: Y"]
+    prog = brasp.parse_program("\n".join(lines) + "\n")
+    calls = _lowerings_before_the_cap_error(
+        compiler.compile_naive, prog, r"21 inputs for coordinate \d+ ", monkeypatch
+    )
     assert calls == []
 
 

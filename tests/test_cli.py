@@ -238,6 +238,24 @@ def test_a_malformed_program_or_formula_file_names_where_it_fails(text, where, t
     assert where in capsys.readouterr().err
 
 
+def test_input_nested_past_the_recursion_limit_exits_2(tmp_path, capsys):
+    formula = tmp_path / "formula"
+    formula.write_text("!" * 3000 + "Qa\n")
+    program = tmp_path / "program"
+    program.write_text("alphabet: a\nY(i) := " + "(" * 1200 + "Q_a(i)" + ")" * 1200 + "\noutput: Y\n")
+    assert main(["translate", "--from", "ltl", "--to", "brasp", str(formula)]) == 2
+    assert "the input nests too deeply" in capsys.readouterr().err
+    assert main(["run", str(program), "--input", "a"]) == 2
+    assert "the input nests too deeply" in capsys.readouterr().err
+
+
+def test_an_unwritable_predicate_family_name_exits_2(tmp_path, capsys):
+    path = tmp_path / "program"
+    path.write_text("alphabet: a\npreds: a:b\nY(i) := Q_a(i)\noutput: Y\n")
+    assert main(["run", str(path), "--input", "a"]) == 2
+    assert "bad predicate family name 'a:b'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_diff_jobs_below_one_is_an_error(jobs, capsys):
     code = main(["diff", "corpus:phi1", "corpus:phi2", "--bound", "2", "--jobs", jobs])

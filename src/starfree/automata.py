@@ -128,23 +128,6 @@ def is_counter_free(dfa: Dfa) -> bool:
     return True
 
 
-def is_counter_free_bruteforce(dfa: Dfa) -> bool:
-    """Definitional check: no word may permute a state subset nontrivially.
-
-    Words are represented by their monoid elements, which cover every word's
-    action; each element is tested on every subset of states.
-    """
-    n = len(dfa.states)
-    for m in transition_monoid(dfa):
-        for mask in range(1 << n):
-            subset = [k for k in range(n) if mask >> k & 1]
-            image = [m[k] for k in subset]
-            if sorted(image) == subset:  # m permutes the subset
-                if any(m[k] != k for k in subset):
-                    return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Identity-reset automata and cascades
 

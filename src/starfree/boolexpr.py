@@ -6,9 +6,11 @@ decompiler. An atom is tagged with the position variable it reads: "i" is
 the position being defined, "j" is the attended position. Position-wise
 bodies and defaults may only use "i" atoms.
 
-The program interpreter (`brasp.eval`) evaluates these trees on bitmask
-rows: a vector over positions 1..n is an int whose bit p-1 holds the value
-at position p, so every connective is a plain bitwise operation.
+`compile_rows` is the one evaluator of these trees: a closure over bitmask
+rows, ints with one bit per case, so every connective is one bitwise
+operation. Programs and formulas (`brasp`, `ltl`) run it on rows of
+positions; the compiler runs it, through `truth_table`, on the rows of all
+2^k assignments of k atoms. `eval_bool` stays apart, as a reference.
 
 This module also holds the one parser for the Boolean syntax that programs
 (`brasp.parse_program`) and temporal formulas (`ltl.parse_formula`) share.
@@ -159,6 +161,51 @@ def substitute(expr: Expr, mapping: dict) -> Expr:
     if isinstance(expr, And):
         return conj(substitute(a, mapping) for a in expr.args)
     return disj(substitute(a, mapping) for a in expr.args)
+
+
+def compile_rows(expr: Expr, row_of):
+    """`expr` as a closure (rows, full, m) -> row; an atom reads rows[row_of(atom)]."""
+    if isinstance(expr, Const):
+        return (lambda r, full, m: full) if expr.value else (lambda r, full, m: 0)
+    if isinstance(expr, (Var, Pred)):
+        s = row_of(expr)
+        return lambda r, full, m: r[s]
+    if isinstance(expr, Not):
+        if isinstance(expr.arg, (Var, Pred)):
+            s = row_of(expr.arg)
+            return lambda r, full, m: full ^ r[s]
+        arg = compile_rows(expr.arg, row_of)
+        return lambda r, full, m: full ^ arg(r, full, m)
+    # Atom arguments are read in place; only compound ones cost a call.
+    slots = tuple(row_of(a) for a in expr.args if isinstance(a, (Var, Pred)))
+    rest = tuple(compile_rows(a, row_of) for a in expr.args if not isinstance(a, (Var, Pred)))
+    if isinstance(expr, And):
+        def conj(r, full, m):
+            out = full
+            for s in slots:
+                out &= r[s]
+            for a in rest:
+                out &= a(r, full, m)
+            return out
+        return conj
+
+    def disj(r, full, m):
+        out = 0
+        for s in slots:
+            out |= r[s]
+        for a in rest:
+            out |= a(r, full, m)
+        return out
+    return disj
+
+
+def truth_table(expr: Expr, k: int, slot_of) -> int:
+    """`expr` under all 2^k assignments as one int: bit b is its value where the
+    atom in slot `slot_of(atom)` (0..k-1) holds exactly when that bit of b is set."""
+    full = (1 << (1 << k)) - 1
+    # Slot s's row repeats 2^s zeros then 2^s ones, from bit 0 up.
+    rows = [full // ((1 << (2 << s)) - 1) * (((1 << (1 << s)) - 1) << (1 << s)) for s in range(k)]
+    return compile_rows(expr, slot_of)(rows, full, 1)
 
 
 def eval_bool(expr: Expr, lookup) -> bool:

@@ -26,7 +26,8 @@ batch, and `accepts`, `eval` and `transduce` run a batch of one.
 
 A program's plan is built on its first evaluation and kept on the program
 instance; it gives every vector and predicate family a slot and compiles
-every expression once, to closures. For each attention operation it
+every expression once, to closures over rows, through the one Boolean
+evaluator `boolexpr.compile_rows`. For each attention operation it
 records the atoms that the score and value read at i; query positions that
 agree on them share one score row and one value row, and within such a
 group attention is a few whole-row scans (see `_AttentionStep`), with no
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import boolexpr as bx
-from .boolexpr import And, Const, Expr, Not, Pred, Var
+from .boolexpr import Expr, Pred, Var
 
 
 class BraspError(Exception):
@@ -589,7 +590,7 @@ class _Plan:
     families), then one scratch slot per i-atom of each attention
     operation. `steps` pairs each operation's slot with its step,
     `step(rows, full, m) -> row`: a position-wise expression compiled by
-    `_compile`, or an `_AttentionStep`.
+    `boolexpr.compile_rows`, or an `_AttentionStep`.
     """
 
     __slots__ = ("names", "slots", "symbol_slot", "pred_slot", "steps")
@@ -609,47 +610,11 @@ class _Plan:
         for op in prog.ops:
             body = op.body
             if isinstance(body, Positionwise):
-                step = _compile(body.expr, row_of)
+                step = bx.compile_rows(body.expr, row_of)
             else:
                 step = _AttentionStep(body, row_of, self.slots)
                 self.slots += len(step.i_slots)
             self.steps.append((slot[op.name], step))
-
-
-def _compile(expr: Expr, row_of):
-    """`expr` as a closure (rows, full, m) -> row; an atom reads rows[row_of(atom)]."""
-    if isinstance(expr, Const):
-        return (lambda r, full, m: full) if expr.value else (lambda r, full, m: 0)
-    if isinstance(expr, (Var, Pred)):
-        s = row_of(expr)
-        return lambda r, full, m: r[s]
-    if isinstance(expr, Not):
-        if isinstance(expr.arg, (Var, Pred)):
-            s = row_of(expr.arg)
-            return lambda r, full, m: full ^ r[s]
-        arg = _compile(expr.arg, row_of)
-        return lambda r, full, m: full ^ arg(r, full, m)
-    # Atom arguments are read in place; only compound ones cost a call.
-    slots = tuple(row_of(a) for a in expr.args if isinstance(a, (Var, Pred)))
-    rest = tuple(_compile(a, row_of) for a in expr.args if not isinstance(a, (Var, Pred)))
-    if isinstance(expr, And):
-        def conj(r, full, m):
-            out = full
-            for s in slots:
-                out &= r[s]
-            for a in rest:
-                out &= a(r, full, m)
-            return out
-        return conj
-
-    def disj(r, full, m):
-        out = 0
-        for s in slots:
-            out |= r[s]
-        for a in rest:
-            out |= a(r, full, m)
-        return out
-    return disj
 
 
 class _AttentionStep:
@@ -691,9 +656,9 @@ class _AttentionStep:
         self.unmasked = body.mask is MaskKind.NONE
         self.nearest = not self.unmasked and self.leftmost != self.before
         self.i_slots = tuple((row_of(a), scratch[a]) for a in i_atoms)  # (row, scratch slot)
-        self.score = _compile(body.score, read)
-        self.value = _compile(body.value, read)
-        self.default = None if body.default == bx.FALSE else _compile(body.default, row_of)
+        self.score = bx.compile_rows(body.score, read)
+        self.value = bx.compile_rows(body.value, read)
+        self.default = None if body.default == bx.FALSE else bx.compile_rows(body.default, row_of)
 
     def __call__(self, rows: list, full: int, m: int) -> int:
         groups = [(full, ())]  # (positions, the scratch rows there)

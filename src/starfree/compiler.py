@@ -12,7 +12,9 @@ unlowered writes of the top feed-forward network, and adds a single
 attention layer per nesting level, so layer depth equals attention depth.
 Both lay the model out first, as one `_Sim`, and build it once: every write
 is checked against FFN_SUPPORT_CAP, then each feed-forward network is
-lowered a single time.
+lowered a single time: a write's indicator units are the satisfying
+assignments of its truth table (`boolexpr.truth_table`), ascending, as are
+a score's disjoint conjuncts.
 
 Transformer to program rests on the finite-image property: without position
 embeddings (or with finite-image ones), all scores and activation
@@ -38,8 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from . import boolexpr as bx
 from . import brasp as bm
@@ -92,15 +93,6 @@ class ScoreDecomposition:
     key_atoms: tuple
     conjuncts: tuple  # pairs (alpha expr over query atoms, beta expr over key atoms)
 
-    def evaluate(self, assignment: Callable) -> bool:
-        hits = [
-            bx.eval_bool(a, assignment) and bx.eval_bool(b, assignment)
-            for a, b in self.conjuncts
-        ]
-        if sum(hits) > 1:
-            raise CompileError("score conjuncts are not disjoint")
-        return any(hits)
-
 
 def decompose_score(score: Expr) -> ScoreDecomposition:
     query_atoms = tuple(bx.atoms_at(score, "i"))
@@ -111,14 +103,16 @@ def decompose_score(score: Expr) -> ScoreDecomposition:
             f"score of {len(all_atoms)} atoms exceeds SCORE_ATOM_CAP ({normalform.SCORE_ATOM_CAP})"
         )
     conjuncts = []
-    for bits in range(1 << len(all_atoms)):
-        assign = {a: bool(bits >> k & 1) for k, a in enumerate(all_atoms)}
-        if not bx.eval_bool(score, lambda a: assign[a]):
-            continue
-        alpha = bx.conj(a if assign[a] else bx.neg(a) for a in query_atoms)
-        beta = bx.conj(a if assign[a] else bx.neg(a) for a in key_atoms)
-        conjuncts.append((alpha, beta))
+    for bits in _satisfying(score, len(all_atoms), all_atoms.index):
+        lits = [a if bits >> k & 1 else bx.neg(a) for k, a in enumerate(all_atoms)]
+        conjuncts.append((bx.conj(lits[:len(query_atoms)]), bx.conj(lits[len(query_atoms):])))
     return ScoreDecomposition(query_atoms, key_atoms, tuple(conjuncts))
+
+
+def _satisfying(expr: Expr, k: int, slot_of) -> list:
+    """The assignments of `k` atoms that satisfy `expr`, ascending, read off its truth table."""
+    table = format(bx.truth_table(expr, k, slot_of), f"0{1 << k}b")[::-1]
+    return list(itertools.compress(range(1 << k), map("1".__eq__, table)))
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +125,6 @@ def catom(coord: int, pos: str = "i") -> Var:
 
 def _coord_of_atom(a) -> int:
     return int(a.name[1:])
-
-
-def eval_coord_expr(expr: Expr, vec) -> bool:
-    return bx.eval_bool(expr, lambda a: vec[_coord_of_atom(a)] != 0)
 
 
 def _capped_support(coord: int, expr: Expr) -> list:
@@ -155,27 +145,18 @@ def ffn_from_writes(width: int, writes: dict) -> FeedForward:
     Contract: inputs are Boolean on every support coordinate and every
     written coordinate is still zero when the net runs (all compiled
     coordinates are written exactly once), so the delta equals the target
-    value. One exact indicator unit per satisfying support assignment.
+    value. One exact indicator unit per satisfying support assignment, in
+    ascending order, with int weights +1 and -1.
     """
-    units = []  # (row dict, bias, coord)
+    units = []  # (row entries, bias, coord)
     for c in sorted(writes):
-        expr = writes[c]
-        supp = _capped_support(c, expr)
-        for bits in range(1 << len(supp)):
-            assign = {supp[k]: bool(bits >> k & 1) for k in range(len(supp))}
-            if not bx.eval_bool(expr, lambda a: assign[_coord_of_atom(a)]):
-                continue
-            row = {}
-            ones = 0
-            for k in supp:
-                row[k] = ONE if assign[k] else -ONE
-                ones += int(assign[k])
-            units.append((row, Fraction(1 - ones), c))
-    w1 = SparseMatrix(
-        len(units), width, [(u, k, v) for u, (row, _b, _c) in enumerate(units) for k, v in row.items()]
-    )
-    w2 = SparseMatrix(width, len(units), [(c, u, ONE) for u, (_r, _b, c) in enumerate(units)])
-    return FeedForward(w1, [b for _r, b, _c in units], w2, (ZERO,) * width)
+        supp = _capped_support(c, writes[c])
+        for bits in _satisfying(writes[c], len(supp), lambda a: supp.index(_coord_of_atom(a))):
+            row = [(k, 1 if bits >> s & 1 else -1) for s, k in enumerate(supp)]
+            units.append((row, 1 - bits.bit_count(), c))
+    w1 = SparseMatrix(len(units), width, [(u, k, v) for u, (row, _b, _c) in enumerate(units) for k, v in row])
+    w2 = SparseMatrix(width, len(units), [(c, u, 1) for u, (_r, _b, c) in enumerate(units)])
+    return FeedForward(w1, [b for _r, b, _c in units], w2, (0,) * width)
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +315,13 @@ class _Sim:
         join the top feed-forward net's writes, read through them.
         """
         if not self.layers:
-            for sym, vec in self.embedding.items():
-                new = list(vec)
-                for c, expr in writes.items():
-                    new[c] = ONE if eval_coord_expr(expr, vec) else ZERO
-                self.embedding[sym] = tuple(new)
+            # One row per coordinate: bit s is its value in the s-th symbol's vector.
+            syms, full = list(self.embedding), (1 << len(self.embedding)) - 1
+            rows = [sum(1 << s for s, sym in enumerate(syms) if self.embedding[sym][c]) for c in range(self.width)]
+            new = list(rows)
+            for c, expr in writes.items():
+                new[c] = bx.compile_rows(expr, _coord_of_atom)(rows, full, 1)
+            self.embedding = {sym: tuple(ONE if row >> s & 1 else ZERO for row in new) for s, sym in enumerate(syms)}
             return
         top = self.layers[-1][1]
         top.update({c: _subst_post(e, top) for c, e in writes.items()})

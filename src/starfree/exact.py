@@ -51,6 +51,8 @@ def as_exact(x):
 
 def to_token(x) -> str:
     """Render a rational scalar as the canonical "p/q" (or "p") wire token."""
+    if type(x) is int:
+        return str(x)
     x = as_exact(x)
     if not isinstance(x, Fraction):
         raise ValueError(f"non-rational scalar {x} cannot be serialized")
@@ -60,7 +62,20 @@ def to_token(x) -> str:
 
 
 def from_token(tok: str) -> Fraction:
-    return Fraction(tok)
+    """Read a wire token; anything but a string, or a zero denominator, is a ValueError."""
+    if type(tok) is not str:
+        raise ValueError(f"scalar token {tok!r} is not a string")
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise ValueError(f"scalar token {tok!r} has a zero denominator") from None
+
+
+def from_tokens(tokens, piece: str) -> tuple:
+    """A JSON list of wire tokens, read by `from_token`; a ValueError naming `piece` for anything else."""
+    if type(tokens) is not list:
+        raise ValueError(f"{piece} is not a list")
+    return tuple(from_token(t) for t in tokens)
 
 
 def _sympy_sign(expr) -> int:

@@ -9,8 +9,8 @@ requirement up to the current position.
 
 Evaluation flattens a formula DAG once, on its first evaluation, into a
 plan for `brasp.run_plan`, the runner programs use too: one bitmask-row
-slot per distinct node, Boolean nodes compiled to the same closures as
-program expressions, and one `brasp.scan` per `since`/`until`. Rows cover a
+slot per distinct node, Boolean nodes compiled by `boolexpr.compile_rows`
+like program expressions, and one `brasp.scan` per `since`/`until`. Rows cover a
 whole batch of equal-length strings (bit (p-1)*m + s is position p of
 string s), so `ltl_accepts_batch` answers for every string of a batch in
 one run, and `ltl_eval` and `ltl_accepts` run a batch of one. The plan is
@@ -200,7 +200,7 @@ class _FormulaPlan:
     """A formula DAG flattened once into postorder steps, for `brasp.run_plan`.
 
     Every distinct node gets a slot, an atom its symbol's or family's row. A
-    Boolean node is compiled by `brasp._compile`, its atoms named by the
+    Boolean node is compiled by `boolexpr.compile_rows`, its atoms named by the
     slots of its arguments; since/until are one `brasp.scan` each.
     """
 
@@ -215,7 +215,7 @@ class _FormulaPlan:
         slot: dict = {}  # id(node) -> slot
 
         def boolean(expr: bx.Expr):
-            return brasp._compile(expr, lambda atom: atom.name)
+            return bx.compile_rows(expr, lambda atom: atom.name)
 
         def visit(g) -> int:
             if id(g) in slot:

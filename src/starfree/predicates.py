@@ -210,7 +210,7 @@ def pe_from_spec(spec: dict) -> PositionEmbedding:
     """Rebuild an embedding from its serialized description."""
     kind = spec.get("kind")
     if kind == "sinusoidal":
-        return sinusoidal_pe([Fraction(t) for t in spec["frequencies"]])
+        return sinusoidal_pe(exact.from_tokens(spec["frequencies"], "frequencies"))
     if kind == "families":
         fams = []
         for name in spec["names"]:

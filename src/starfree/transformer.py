@@ -64,7 +64,7 @@ class TransformerError(Exception):
 
 def _intify(v):
     """Integral Fractions become plain ints: exact, and much faster to add."""
-    if isinstance(v, Fraction) and v.denominator == 1:
+    if type(v) is not int and isinstance(v, Fraction) and v.denominator == 1:
         return v.numerator
     return v
 
@@ -825,8 +825,10 @@ def _paired_pe(pe: PositionEmbedding) -> PositionEmbedding:
 #
 # Format 2 stores each matrix as {"shape": [rows, cols], "entries": [[row,
 # col, "p/q"], ...]} with the entries sorted by position; vectors are lists
-# of "p/q" tokens. Format 1 files (no "format" key) store matrices as dense
-# rows; they are still read, and saving always writes format 2.
+# of "p/q" tokens. Scalars must be JSON strings with nonzero denominators, and
+# vectors, matrices, layers and heads JSON lists. Format 1 files (no "format"
+# key) store matrices as dense rows; they are still read, and saving always
+# writes format 2.
 
 WEIGHT_FORMAT = 2
 
@@ -895,8 +897,10 @@ def transformer_to_json(model: Transformer, coord_doc=None) -> str:
     return json.dumps(payload) + "\n"
 
 
-def _untok_vec(vec):
-    return tuple(exact.from_token(v) for v in vec)
+def _listed(value, piece: str) -> list:
+    if type(value) is not list:
+        raise TransformerError(f"{piece} is not a list")
+    return value
 
 
 def _decode(where: str, fn, *args):
@@ -923,9 +927,10 @@ def _transformer_from_payload(payload: dict) -> Transformer:
     def matrix(spec, cols: int) -> SparseMatrix:
         """A format-2 matrix, or format-1 dense rows of `cols` entries."""
         if fmt == 1:
-            return SparseMatrix.from_dense([_untok_vec(row) for row in spec], cols)
+            return SparseMatrix.from_dense([exact.from_tokens(row, "matrix row") for row in spec], cols)
         rows, cols = spec["shape"]
-        return SparseMatrix(rows, cols, [(r, c, exact.from_token(v)) for r, c, v in spec["entries"]])
+        entries = _listed(spec["entries"], "entries")
+        return SparseMatrix(rows, cols, [(r, c, exact.from_token(v)) for r, c, v in entries])
 
     def head(h) -> AttentionHead:
         return AttentionHead(
@@ -933,25 +938,25 @@ def _transformer_from_payload(payload: dict) -> Transformer:
             MaskKind(h["mask"]),
             h["tiebreak"],
             _decode("value", matrix, h["value"], width),
-            _untok_vec(h["value_bias"]) if h.get("value_bias") else None,
+            exact.from_tokens(h["value_bias"], "value bias") if h.get("value_bias") else None,
         )
 
     def ffn(spec) -> FeedForward:
         w1 = _decode("w1", matrix, spec["w1"], width)
         w2 = _decode("w2", matrix, spec["w2"], w1.shape[0])
-        return FeedForward(w1, _untok_vec(spec["b1"]), w2, _untok_vec(spec["b2"]))
+        return FeedForward(w1, exact.from_tokens(spec["b1"], "b1"), w2, exact.from_tokens(spec["b2"], "b2"))
 
     def layer_norm(spec) -> LayerNorm:
         return LayerNorm(
-            _untok_vec(spec["gamma"]),
-            _untok_vec(spec["beta"]),
+            exact.from_tokens(spec["gamma"], "gamma"),
+            exact.from_tokens(spec["beta"], "beta"),
             spec["mode"],
             exact.from_token(spec["expected_mean"]) if spec.get("expected_mean") else None,
             exact.from_token(spec["expected_var"]) if spec.get("expected_var") else None,
         )
 
     def layer(entry) -> TransformerLayer:
-        heads = [_decode(f"head {k}", head, h) for k, h in enumerate(entry["heads"])]
+        heads = [_decode(f"head {k}", head, h) for k, h in enumerate(_listed(entry["heads"], "heads"))]
         lns = {
             key: _decode(key, layer_norm, entry[key]) for key in ("ln_att", "ln_ffn") if entry.get(key)
         }
@@ -965,21 +970,21 @@ def _transformer_from_payload(payload: dict) -> Transformer:
             return _paired_pe(pe_from_spec(spec["inner"])), item["offset"]
         return pe_from_spec(spec), item["offset"]
 
-    layers = [_decode(f"layer {k}", layer, entry) for k, entry in enumerate(payload["layers"], start=1)]
+    layers = [_decode(f"layer {k}", layer, entry) for k, entry in enumerate(_listed(payload["layers"], "layers"), 1)]
     pes = [
         _decode(f"position embedding {k}", position_embedding, item)
-        for k, item in enumerate(payload.get("position_embeddings", []))
+        for k, item in enumerate(_listed(payload.get("position_embeddings", []), "position embeddings"))
     ]
     output = None
     if payload.get("output"):
         output = OutputLayer(
-            _untok_vec(payload["output"]["weights"]),
-            exact.from_token(payload["output"]["bias"]),
+            exact.from_tokens(payload["output"]["weights"], "output weights"),
+            _decode("output bias", exact.from_token, payload["output"]["bias"]),
         )
     return Transformer(
         width,
-        Alphabet(tuple(payload["alphabet"])),
-        {sym: _untok_vec(vec) for sym, vec in payload["embedding"].items()},
+        Alphabet(tuple(_listed(payload["alphabet"], "alphabet"))),
+        {sym: exact.from_tokens(vec, f"embedding of {sym!r}") for sym, vec in payload["embedding"].items()},
         layers,
         output,
         tuple(pes),

@@ -1,4 +1,5 @@
-"""Deliberately naive reference evaluators for programs, formulas and transformers.
+"""Deliberately naive reference evaluators for programs, formulas and
+transformers, and the definitional counter-freeness check for automata.
 
 Recomputes every vector value and every subformula recursively from the
 definition, scanning all candidate positions one by one, with no bitmask
@@ -16,6 +17,7 @@ import sympy
 
 from starfree import boolexpr as bx
 from starfree import ltl
+from starfree.automata import Dfa, transition_monoid
 from starfree import predicates as predmod
 from starfree.brasp import (
     Attention,
@@ -224,3 +226,20 @@ def brute_transformer_accepts(model, w) -> bool:
     last = layers[-1][3][-1] if layers else embeddings[-1]
     acc = model.output.bias + sum(wt * v for wt, v in zip(model.output.weights, last))
     return _sign(acc) >= 0
+
+
+def is_counter_free_bruteforce(dfa: Dfa) -> bool:
+    """Definitional check: no word may permute a state subset nontrivially.
+
+    Words are represented by their monoid elements, which cover every word's
+    action; each element is tested on every subset of states.
+    """
+    n = len(dfa.states)
+    for m in transition_monoid(dfa):
+        for mask in range(1 << n):
+            subset = [k for k in range(n) if mask >> k & 1]
+            image = [m[k] for k in subset]
+            if sorted(image) == subset:  # m permutes the subset
+                if any(m[k] != k for k in subset):
+                    return False
+    return True

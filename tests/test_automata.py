@@ -13,10 +13,11 @@ from starfree.automata import (
     check_homomorphism,
     identity_reset_to_brasp,
     is_counter_free,
-    is_counter_free_bruteforce,
     run_dfa,
 )
 from starfree.brasp import Alphabet
+
+from brute import is_counter_free_bruteforce
 
 
 def test_run_dfa_walk():

@@ -331,6 +331,11 @@ def _as_format_1(payload: dict) -> dict:
     return payload
 
 
+def _sinusoidal(payload, frequency):
+    """Give the model a sinusoidal position embedding of one frequency."""
+    payload["position_embeddings"] = [{"offset": 0, "pe": {"kind": "sinusoidal", "frequencies": [frequency]}}]
+
+
 def _write(tmp_path, payload) -> str:
     path = tmp_path / "weights"
     path.write_text(json.dumps(payload))
@@ -378,6 +383,21 @@ def test_short_value_matrix_is_rejected(fmt, tmp_path, capsys):
         (lambda p: p["layers"][0]["ffn"]["b1"].pop(), "feed-forward b1"),
         (lambda p: p["embedding"]["l"].pop(), "embedding of 'l'"),
         (lambda p: p["output"]["weights"].pop(), "output weights"),
+        # Scalars are JSON strings with nonzero denominators.
+        (lambda p: p["output"].update(bias="1/0"), "output bias: scalar token '1/0' has a zero denominator"),
+        (lambda p: p["output"].update(bias=True), "output bias: scalar token True is not a string"),
+        (lambda p: p["layers"][0]["ffn"]["b1"].__setitem__(0, 1), "layer 1: ffn: scalar token 1 is not a string"),
+        (lambda p: _sinusoidal(p, "1/0"), "position embedding 0: scalar token '1/0' has a zero denominator"),
+        (lambda p: _sinusoidal(p, 0.1), "position embedding 0: scalar token 0.1 is not a string"),
+        # Vectors, matrix entries, layers and heads are JSON lists.
+        (lambda p: p.update(layers=""), "weight file: layers is not a list"),
+        (lambda p: p.update(layers={}), "layers is not a list"),
+        (lambda p: p["layers"][0].update(heads={}), "layer 1: heads is not a list"),
+        (lambda p: p["layers"][1]["heads"][0]["score"].update(entries={}), "layer 2: head 0: score: entries"),
+        (lambda p: p["layers"][0]["ffn"].update(b2="0" * p["width"]), "layer 1: ffn: b2 is not a list"),
+        (lambda p: p["embedding"].update(l="0" * p["width"]), "embedding of 'l' is not a list"),
+        (lambda p: p.update(alphabet="lr"), "alphabet is not a list"),
+        (lambda p: p.update(position_embeddings={}), "position embeddings is not a list"),
     ],
 )
 def test_malformed_weight_file_is_a_usage_error(corrupt, named, tmp_path, capsys):

@@ -26,6 +26,8 @@ from starfree.compiler import (
     ffn_from_writes,
 )
 
+from test_boolexpr import random_tree
+
 
 def _diff(model, prog, bound, preds=None):
     report = testkit.diff_languages(
@@ -68,8 +70,12 @@ def test_score_decomposition_recombines():
         for bits in range(1 << len(atoms)):
             assign = {a: bool(bits >> k & 1) for k, a in enumerate(atoms)}
             want = bx.eval_bool(score, lambda a: assign[a])
-            got = dec.evaluate(lambda a: assign[a])
-            assert got == want
+            hits = [
+                bx.eval_bool(alpha, lambda a: assign[a]) and bx.eval_bool(beta, lambda a: assign[a])
+                for alpha, beta in dec.conjuncts
+            ]
+            assert sum(hits) <= 1
+            assert any(hits) == want
 
 
 def test_score_decomposition_cap():
@@ -87,6 +93,24 @@ def test_ffn_from_writes_boolean_function():
         y = [a + d for a, d in zip(x, ffn.apply(x))]
         assert y[3] == int(want)
         assert y[:3] == x[:3]
+    # Seeded random writes over up to 10 input coordinates, each a connective
+    # of three random trees, against the reference evaluator on every
+    # assignment of the inputs.
+    for seed in range(16):
+        rng = random.Random(seed)
+        n = rng.randint(1, 10)
+        inputs = [compiler.catom(c) for c in range(n)]
+        writes = {
+            n + k: rng.choice((bx.And, bx.Or))(tuple(random_tree(rng, inputs, 4) for _ in range(3)))
+            for k in range(rng.randint(1, 3))
+        }
+        ffn = ffn_from_writes(n + len(writes), writes)
+        for bits in range(1 << n):
+            x = [bits >> c & 1 for c in range(n)] + [0] * len(writes)
+            y = [a + d for a, d in zip(x, ffn.apply(x))]
+            assert y[:n] == x[:n]
+            for c, expr in writes.items():
+                assert y[c] == int(bx.eval_bool(expr, lambda a: x[int(a.name[1:])])), (seed, bits, c)
 
 
 def test_naive_dyck_language_equal():
